@@ -19,6 +19,8 @@ from specsweep.formats import catalog_entry
 from specsweep.linesim import CrosstalkBench, open_session
 from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
 from specsweep.scenario_io import (
+    CrosstalkOffsets,
+    carrier_plan_dict,
     crosstalk_result_csv,
     crosstalk_result_dict,
     diagnosis_report_dict,
@@ -63,7 +65,6 @@ def _scenario_config(sf):
         "filtering_exponent": sc.filtering_exponent,
         "measurement_noise_sigma_db": sc.measurement_noise_sigma_db,
         "outage_ber": sc.outage_ber,
-        "fec_ber": sc.fec_ber,
         "seed": sc.seed,
         "grid": {
             "start": sc.grid.start,
@@ -139,14 +140,12 @@ def cmd_crosstalk(args):
             "crosstalk needs a scenario file with slot_probes (one per media channel)"
         )
     bench = CrosstalkBench(sf.scenario, sf.slot_probes)
-    if sf.crosstalk_offsets is not None:
-        offsets = sf.crosstalk_offsets.values()
-    else:
-        half = bench.middle_slot.width / 2.0
+    offsets = sf.crosstalk_offsets
+    if offsets is None:
         step = sf.sweep_step
-        n = int(half / step)
-        offsets = tuple((i - n) * step for i in range(2 * n + 1))
-    scan = crosstalk_scan(bench, offsets, trials=sf.trials_per_point)
+        n = int(bench.middle_slot.width / 2.0 / step)
+        offsets = CrosstalkOffsets(-n * step, n * step, step)
+    scan = crosstalk_scan(bench, offsets.values(), trials=sf.trials_per_point)
     _emit(
         args,
         sf,
@@ -165,22 +164,7 @@ def cmd_recommend(args):
     sweep = _sweep(sf)
     catalog = [catalog_entry(name) for name in sf.recommend_catalog]
     plan = recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
-    body = {
-        "carrier_plan": {
-            "guard_ghz": plan.guard_ghz,
-            "assignments": [
-                {
-                    "center_ghz": a.center_ghz,
-                    "entry": a.entry_name,
-                    "predicted_margin_db": a.predicted_margin_db,
-                    "occupied_width_ghz": a.occupied_width_ghz,
-                }
-                for a in plan.assignments
-            ],
-            "shortfalls_db": dict(plan.shortfalls_db),
-        }
-    }
-    _emit(args, sf, body, sweep_result_csv(sweep))
+    _emit(args, sf, {"carrier_plan": carrier_plan_dict(plan)}, sweep_result_csv(sweep))
     return EXIT_OK
 
 

@@ -11,12 +11,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from specsweep.errors import UndiagnosableError
-from specsweep.formats import DEFAULT_FEC_BER, required_gsnr
-from specsweep.spectral import SignalSpectrum, occupied_width, overlap_coefficient
+from specsweep.formats import required_gsnr
+from specsweep.spectral import DEFAULT_ROLL_OFF, SignalSpectrum, occupied_width, overlap_coefficient
 
-DEFAULT_PENALTY_THRESHOLD_DB = 0.5
+PENALTY_THRESHOLD_DB = 0.5
 DEFAULT_GUARD_PENALTY_DB = 0.1
-DEFAULT_PRE_EMPHASIS_CLIP_DB = 3.0
+GUARD_BAND_TOL_GHZ = 0.01
+PRE_EMPHASIS_CLIP_DB = 3.0
 _CURVATURE_FLOOR = 1e-6  # dB per step^2; below this a peak is considered flat
 
 
@@ -129,7 +130,7 @@ def estimate_center_offset(sweep):
     return OffsetEstimate(float(np.sum(offsets * weights) / np.sum(weights)))
 
 
-def estimate_effective_bandwidth(sweep, penalty_threshold_db=DEFAULT_PENALTY_THRESHOLD_DB):
+def estimate_effective_bandwidth(sweep):
     """Bracket the usable optical bandwidth from the sweep curves.
 
     Upper bound: occupied width of the narrowest probe plus the extent of
@@ -146,7 +147,7 @@ def estimate_effective_bandwidth(sweep, penalty_threshold_db=DEFAULT_PENALTY_THR
         raise UndiagnosableError("narrowest probe has no finite readings")
     peak_idx = int(np.nanargmax(np.where(mask, g, -np.inf)))
     peak = g[peak_idx]
-    ok = mask & (peak - np.where(mask, g, np.inf) <= penalty_threshold_db)
+    ok = mask & (peak - np.where(mask, g, np.inf) <= PENALTY_THRESHOLD_DB)
     lo = hi = peak_idx
     while lo > 0 and ok[lo - 1]:
         lo -= 1
@@ -154,7 +155,7 @@ def estimate_effective_bandwidth(sweep, penalty_threshold_db=DEFAULT_PENALTY_THR
         hi += 1
     narrow_width = widths[order[0]]
     upper = narrow_width + (c[hi] - c[lo]) + sweep.step
-    degenerate = np.count_nonzero(mask) == 1
+    degenerate = bool(np.count_nonzero(mask) == 1)
 
     working = [
         widths[i]
@@ -166,7 +167,7 @@ def estimate_effective_bandwidth(sweep, penalty_threshold_db=DEFAULT_PENALTY_THR
     return EffectiveBandwidth(
         lower_bound_ghz=float(lower),
         upper_bound_ghz=float(upper),
-        threshold_db=penalty_threshold_db,
+        threshold_db=PENALTY_THRESHOLD_DB,
         filter_limited=bool(upper < sweep.slot.width),
         degenerate=degenerate,
         widest_working_width_ghz=float(widest_working),
@@ -220,7 +221,7 @@ def _nearest_rate_curve(sweep, symbol_rate):
     return sweep.curves[int(np.argmin(np.abs(np.array(rates) - symbol_rate)))]
 
 
-def recommend_carriers(sweep, catalog, guard_ghz=0.0, roll_off=0.19, fec_ber=DEFAULT_FEC_BER):
+def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     """Greedy left-to-right carrier packing over the sweep grid.
 
     At each candidate center the highest-net-rate entry whose predicted
@@ -239,14 +240,14 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0, roll_off=0.19, fec_ber=DEF
     for center in carriers:
         placed = None
         for entry in entries:
-            width = occupied_width(entry.symbol_rate, roll_off)
+            width = occupied_width(entry.symbol_rate, DEFAULT_ROLL_OFF)
             lo, hi = center - width / 2.0, center + width / 2.0
             if lo < cursor - 1e-9 or lo < slot.start - 1e-9 or hi > slot.stop + 1e-9:
                 continue
             min_gsnr = _band_min_gsnr(
                 _nearest_rate_curve(sweep, entry.symbol_rate), lo, hi
             )
-            margin = min_gsnr - required_gsnr(entry, fec_ber)
+            margin = min_gsnr - required_gsnr(entry)
             if margin >= 0.0:
                 placed = CarrierAssignment(float(center), entry.name, float(margin), width)
                 break
@@ -276,15 +277,7 @@ def _pair_penalty_db(spacing, victim, interferer, link_gsnr_db):
     return worst
 
 
-def guard_band(
-    entry_a,
-    entry_b,
-    link_gsnr_db,
-    max_penalty_db=DEFAULT_GUARD_PENALTY_DB,
-    roll_off_a=0.19,
-    roll_off_b=0.19,
-    tol_ghz=0.01,
-):
+def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENALTY_DB):
     """Smallest spacing keeping mutual crosstalk below max_penalty_db.
 
     Bisection over center-to-center spacing; the guard band proper is the
@@ -294,13 +287,13 @@ def guard_band(
     """
     if max_penalty_db <= 0:
         raise ValueError("max_penalty_db must be > 0")
-    a = SignalSpectrum(entry_a.symbol_rate, roll_off_a)
-    b = SignalSpectrum(entry_b.symbol_rate, roll_off_b)
+    a = SignalSpectrum(entry_a.symbol_rate)
+    b = SignalSpectrum(entry_b.symbol_rate)
     half_sum = (a.occupied_width + b.occupied_width) / 2.0
     if _pair_penalty_db(0.0, a, b, link_gsnr_db) <= max_penalty_db:
         return GuardBandResult(0.0, 0.0)
     lo, hi = 0.0, half_sum
-    while hi - lo > tol_ghz:
+    while hi - lo > GUARD_BAND_TOL_GHZ:
         mid = 0.5 * (lo + hi)
         if _pair_penalty_db(mid, a, b, link_gsnr_db) > max_penalty_db:
             lo = mid
@@ -310,7 +303,7 @@ def guard_band(
     return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
 
 
-def pre_emphasis(sweep, clip_db=DEFAULT_PRE_EMPHASIS_CLIP_DB):
+def pre_emphasis(sweep):
     """Advisory per-carrier launch-power offsets that would flatten the slot."""
     curve = _reference_curve(sweep)
     c, g, mask = _finite(curve)
@@ -318,7 +311,7 @@ def pre_emphasis(sweep, clip_db=DEFAULT_PRE_EMPHASIS_CLIP_DB):
         return ()
     peak = np.max(g[mask])
     return tuple(
-        (float(c[i]), float(np.clip(peak - g[i], 0.0, clip_db)))
+        (float(c[i]), float(np.clip(peak - g[i], 0.0, PRE_EMPHASIS_CLIP_DB)))
         for i in range(len(c))
         if mask[i]
     )
@@ -339,27 +332,21 @@ def _penalty_curves(sweep):
     return out
 
 
-def diagnose(
-    sweep,
-    catalog=None,
-    guard_ghz=0.0,
-    penalty_threshold_db=DEFAULT_PENALTY_THRESHOLD_DB,
-    guard_penalty_db=DEFAULT_GUARD_PENALTY_DB,
-):
+def diagnose(sweep, catalog=None, guard_ghz=0.0):
     """Full diagnosis of one sweep; sub-estimates degrade to None when the
     data cannot support them instead of failing the whole report."""
     if all(curve.finite_fraction() == 0.0 for curve in sweep.curves):
         raise UndiagnosableError("every probe is in outage at every carrier")
 
-    def _try(fn, *args, **kwargs):
+    def _try(estimator):
         try:
-            return fn(*args, **kwargs)
+            return estimator(sweep)
         except UndiagnosableError:
             return None
 
-    bandwidth = _try(estimate_effective_bandwidth, sweep, penalty_threshold_db)
-    offset = _try(estimate_center_offset, sweep)
-    tilt_ripple = _try(estimate_tilt_ripple, sweep)
+    bandwidth = _try(estimate_effective_bandwidth)
+    offset = _try(estimate_center_offset)
+    tilt_ripple = _try(estimate_tilt_ripple)
 
     plan = None
     if catalog:
@@ -373,7 +360,7 @@ def diagnose(
         for i, ea in enumerate(catalog):
             for eb in catalog[i:]:
                 key = f"{ea.name}|{eb.name}"
-                guards[key] = guard_band(ea, eb, link, guard_penalty_db)
+                guards[key] = guard_band(ea, eb, link)
 
     return DiagnosisReport(
         effective_bandwidth=bandwidth,

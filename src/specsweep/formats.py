@@ -13,9 +13,10 @@ import numpy as np
 from scipy.special import erfc, erfcinv
 
 REFERENCE_BANDWIDTH_GHZ = 12.5
-DEFAULT_FEC_BER = 2e-2
+FEC_BER = 2e-2
 DEFAULT_OUTAGE_BER = 5e-2
 SNR_FLOOR_DB = -30.0
+_SNR_TOL_DB = 1e-4
 _BER_FLOOR = 1e-300
 
 
@@ -110,14 +111,14 @@ def ber_from_snr(fmt, snr_db):
     return ber
 
 
-def snr_from_ber(fmt, ber, tol_db=1e-4):
+def snr_from_ber(fmt, ber):
     """Invert ber_from_snr by bisection; clamped at SNR_FLOOR_DB."""
     if not 0.0 < ber < 0.5:
         raise ValueError(f"ber must be in (0, 0.5), got {ber}")
     lo, hi = SNR_FLOOR_DB, 60.0
     if ber_from_snr(fmt, lo) <= ber:
         return SNR_FLOOR_DB
-    while hi - lo > tol_db:
+    while hi - lo > _SNR_TOL_DB:
         mid = 0.5 * (lo + hi)
         if ber_from_snr(fmt, mid) > ber:
             lo = mid
@@ -134,9 +135,9 @@ def q_db_from_ber(ber):
 
 
 def ber_from_q_db(q_db):
-    """Exact inverse of q_db_from_ber."""
+    """Inverse of q_db_from_ber, floored where erfc underflows (as ber_from_snr)."""
     q_lin = 10.0 ** (q_db / 20.0)
-    return float(0.5 * erfc(q_lin / np.sqrt(2.0)))
+    return float(max(0.5 * erfc(q_lin / np.sqrt(2.0)), _BER_FLOOR))
 
 
 def normalize_gsnr(snr_db, symbol_rate):
@@ -153,7 +154,7 @@ def denormalize_gsnr(gsnr_db, symbol_rate):
     return gsnr_db - 10.0 * np.log10(symbol_rate / REFERENCE_BANDWIDTH_GHZ)
 
 
-def required_gsnr(entry, fec_ber=DEFAULT_FEC_BER):
+def required_gsnr(entry):
     """Normalized GSNR needed to run ``entry`` at the FEC threshold plus margin."""
-    snr = snr_from_ber(entry.format, fec_ber)
+    snr = snr_from_ber(entry.format, FEC_BER)
     return normalize_gsnr(snr, entry.symbol_rate) + entry.margin_db

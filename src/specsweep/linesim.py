@@ -17,15 +17,16 @@ import numpy as np
 from specsweep.errors import ConfigurationError
 from specsweep.formats import (
     CatalogEntry,
-    DEFAULT_FEC_BER,
     DEFAULT_OUTAGE_BER,
     ber_from_snr,
     denormalize_gsnr,
     q_db_from_ber,
 )
 from specsweep.spectral import (
+    DEFAULT_ROLL_OFF,
     FilterElement,
     FrequencyGrid,
+    Ripple,
     SignalSpectrum,
     cascade_power_response,
     overlap_coefficient,
@@ -39,13 +40,10 @@ class MediaChannel:
 
     center: float
     width: float
-    guard_band_each_side: float = 0.0
 
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("media channel width must be > 0")
-        if self.guard_band_each_side < 0 or 2 * self.guard_band_each_side >= self.width:
-            raise ValueError("guard bands must be >= 0 and sum to less than the width")
 
     @property
     def start(self):
@@ -54,19 +52,6 @@ class MediaChannel:
     @property
     def stop(self):
         return self.center + self.width / 2.0
-
-
-@dataclass(frozen=True)
-class ProfileRipple:
-    amplitude_db: float
-    period_ghz: float
-    phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if self.amplitude_db < 0:
-            raise ValueError("profile ripple amplitude must be >= 0")
-        if self.period_ghz <= 0:
-            raise ValueError("profile ripple period must be > 0")
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,7 @@ class GsnrProfile:
 
     base_gsnr_db: float
     tilt_db: float = 0.0
-    ripple_components: Tuple[ProfileRipple, ...] = ()
+    ripple_components: Tuple[Ripple, ...] = ()
     anchor_center: Optional[float] = None
     anchor_width: Optional[float] = None
 
@@ -115,7 +100,6 @@ class Scenario:
     filtering_exponent: float = 2.0
     measurement_noise_sigma_db: float = 0.1
     outage_ber: float = DEFAULT_OUTAGE_BER
-    fec_ber: float = DEFAULT_FEC_BER
     seed: int = 0
     grid: FrequencyGrid = FrequencyGrid(-300.0, 300.0)
 
@@ -128,6 +112,8 @@ class Scenario:
             raise ValueError("filtering_exponent must be >= 1")
         if self.measurement_noise_sigma_db < 0:
             raise ValueError("measurement_noise_sigma_db must be >= 0")
+        if not 0.0 < self.outage_ber < 0.5:
+            raise ValueError(f"outage_ber must be in (0, 0.5), got {self.outage_ber}")
 
     @property
     def span(self):
@@ -141,14 +127,13 @@ class Scenario:
 class ProbeConfig:
     """One transceiver configuration used for probing.
 
-    The power rule keeps a constant ratio of signal power to symbol rate:
-    launch power is p_ref_dbm + 10 log10(SR / sr_ref_gbd).
+    Launch power follows the constant-PSD rule (power proportional to symbol
+    rate), and the model depends only on power ratios, so no absolute launch
+    power is configured.
     """
 
     entry: CatalogEntry
-    roll_off: float = 0.19
-    p_ref_dbm: float = 0.0
-    sr_ref_gbd: float = 12.5
+    roll_off: float = DEFAULT_ROLL_OFF
 
     def __post_init__(self):
         if not 0.0 <= self.roll_off <= 1.0:
@@ -161,10 +146,6 @@ class ProbeConfig:
     @property
     def symbol_rate(self):
         return self.entry.symbol_rate
-
-    @property
-    def launch_power_dbm(self):
-        return self.p_ref_dbm + 10.0 * np.log10(self.entry.symbol_rate / self.sr_ref_gbd)
 
     def spectrum_at(self, carrier):
         return SignalSpectrum(self.entry.symbol_rate, self.roll_off, carrier)
@@ -192,33 +173,33 @@ def local_gsnr_db(scenario, f):
     return scenario.gsnr_profile.evaluate(f, scenario.media_channels[0])
 
 
+def _filtered_psd(scenario, spectrum):
+    """Grid, PSD after the filter cascade, its power and rho, the transmitted power fraction."""
+    f = scenario.grid.points()
+    s = signal_psd(f - spectrum.center, spectrum)
+    s_total = np.trapezoid(s, f)
+    if s_total <= 0.0:
+        raise ConfigurationError(
+            f"signal at {spectrum.center} GHz lies outside the scenario grid"
+        )
+    weight = s * _cascade_on_grid(scenario.filters, scenario.grid) if scenario.filters else s
+    norm = np.trapezoid(weight, f)
+    return f, weight, norm, float(norm / s_total)
+
+
 def filtering_penalty_db(scenario, spectrum):
     """Penalty from truncation of ``spectrum`` by the filter cascade (dB >= 0).
 
     penalty = -beta * 10 log10(rho) with rho the transmitted power fraction.
     Returns inf when the signal falls entirely outside the cascade.
     """
-    rho = _power_ratio(scenario, spectrum)
+    *_, rho = _filtered_psd(scenario, spectrum)
     if rho <= 0.0:
         return float("inf")
     return -scenario.filtering_exponent * 10.0 * np.log10(min(rho, 1.0))
 
 
-def _power_ratio(scenario, spectrum):
-    if not scenario.filters:
-        return 1.0
-    f = scenario.grid.points()
-    s = signal_psd(f - spectrum.center, spectrum)
-    total = np.trapezoid(s, f)
-    if total <= 0.0:
-        raise ConfigurationError(
-            f"signal at {spectrum.center} GHz lies outside the scenario grid"
-        )
-    t = _cascade_on_grid(scenario.filters, scenario.grid)
-    return float(np.trapezoid(s * t, f) / total)
-
-
-def crosstalk_lin(scenario, victim, victim_power_dbm=0.0):
+def crosstalk_lin(scenario, victim):
     """Aggregate linear crosstalk term from all neighbors.
 
     Each neighbor's power follows the constant-PSD rule relative to the
@@ -262,29 +243,14 @@ def measure(scenario, carrier, probe, trial_index=0):
             f"carrier {carrier} GHz outside media channel span [{lo}, {hi}]"
         )
     spectrum = probe.spectrum_at(carrier)
-
-    f = scenario.grid.points()
-    s = signal_psd(f - carrier, spectrum)
-    t = (
-        _cascade_on_grid(scenario.filters, scenario.grid)
-        if scenario.filters
-        else np.ones_like(f)
-    )
-    weight = s * t
-    norm = np.trapezoid(weight, f)
-    s_total = np.trapezoid(s, f)
-    if s_total <= 0.0:
-        raise ConfigurationError(
-            f"signal at {carrier} GHz lies outside the scenario grid"
-        )
-    rho = float(norm / s_total)
+    f, weight, norm, rho = _filtered_psd(scenario, spectrum)
     if rho <= 0.0:
         return MeasurementResult(carrier, probe.probe_id, outage=True)
 
     profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
     g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
     g_filtered = g_profile * rho ** scenario.filtering_exponent
-    x_t = crosstalk_lin(scenario, spectrum, probe.launch_power_dbm)
+    x_t = crosstalk_lin(scenario, spectrum)
     g_eff = 1.0 / (1.0 / g_filtered + x_t)
 
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
@@ -310,7 +276,7 @@ class BlackBoxProbe:
     @property
     def slot(self):
         mc = self.__scenario.media_channels[0]
-        return MediaChannel(mc.center, mc.width, mc.guard_band_each_side)
+        return MediaChannel(mc.center, mc.width)
 
     def set_carrier(self, carrier):
         self.__carrier = float(carrier)

@@ -21,6 +21,8 @@ from specsweep.formats import (
 from specsweep.linesim import MediaChannel, ProbeConfig
 
 DEFAULT_STEP_GHZ = 6.25
+# Upper bound on carriers per sweep, checked before the carrier grid is built.
+MAX_SWEEP_CARRIERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,11 @@ class SweepPlan:
             raise ValueError("sweep step must be > 0")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if not (self.slot.width + 1e-9) / self.step < MAX_SWEEP_CARRIERS:
+            raise ValueError(
+                f"sweep step {self.step} GHz over a {self.slot.width} GHz slot "
+                f"exceeds {MAX_SWEEP_CARRIERS} carriers"
+            )
 
     def carriers(self):
         """Carrier frequencies from slot start to slot stop, inclusive."""

@@ -6,6 +6,7 @@ path (e.g. ``scenario.filters[0].order``) so fixture typos fail loudly.
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -18,27 +19,40 @@ from specsweep.linesim import (
     MediaChannel,
     NeighborChannel,
     ProbeConfig,
-    ProfileRipple,
     Scenario,
 )
-from specsweep.spectral import FilterElement, FrequencyGrid, Ripple, SignalSpectrum
+from specsweep.probe import SweepPlan
+from specsweep.spectral import (
+    DEFAULT_ROLL_OFF,
+    FilterElement,
+    FrequencyGrid,
+    Ripple,
+    SignalSpectrum,
+)
 
 SCHEMA_VERSION = 1
+# Upper bound on central-carrier offsets per crosstalk scan, checked before
+# the offsets are generated.
+MAX_CROSSTALK_OFFSETS = 10_000
 
 
 @dataclass(frozen=True)
 class CrosstalkOffsets:
+    """Central-carrier offsets start, start + step, ... up to stop (GHz)."""
+
     start: float
     stop: float
     step: float
 
+    def __post_init__(self):
+        if not (self.step > 0 and self.start <= self.stop):
+            raise ValueError("need step > 0 and start <= stop")
+        if not (self.stop - self.start + 1e-9) / self.step < MAX_CROSSTALK_OFFSETS:
+            raise ValueError(f"more than {MAX_CROSSTALK_OFFSETS} crosstalk offsets")
+
     def values(self):
-        out = []
-        x = self.start
-        while x <= self.stop + 1e-9:
-            out.append(round(x, 9))
-            x += self.step
-        return tuple(out)
+        n = int((self.stop - self.start + 1e-9) // self.step) + 1
+        return tuple(round(self.start + k * self.step, 9) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,10 @@ def _number(obj, key, path, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioFormatError(f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+    val = float(val)
+    if not math.isfinite(val):
+        raise ScenarioFormatError(f"{path}.{key}", f"expected a finite number, got {val!r}")
+    return val
 
 
 def _integer(obj, key, path, default=None):
@@ -115,10 +132,10 @@ def _parse_grid(obj, path):
     )
 
 
-def _parse_ripple(obj, path, cls):
+def _parse_ripple(obj, path):
     _check_fields(obj, path, ("amplitude_db", "period_ghz"), ("phase_rad",))
     return _build(
-        cls,
+        Ripple,
         path,
         amplitude_db=_number(obj, "amplitude_db", path),
         period_ghz=_number(obj, "period_ghz", path),
@@ -130,7 +147,7 @@ def _parse_filter(obj, path):
     _check_fields(obj, path, ("center", "bandwidth_3db"), ("order", "ripple"))
     ripple = None
     if "ripple" in obj:
-        ripple = _parse_ripple(obj["ripple"], f"{path}.ripple", Ripple)
+        ripple = _parse_ripple(obj["ripple"], f"{path}.ripple")
     return _build(
         FilterElement,
         path,
@@ -152,7 +169,7 @@ def _parse_profile(obj, path):
     if not isinstance(components, list):
         raise ScenarioFormatError(f"{path}.ripple_components", "expected a list")
     ripple = tuple(
-        _parse_ripple(c, f"{path}.ripple_components[{i}]", ProfileRipple)
+        _parse_ripple(c, f"{path}.ripple_components[{i}]")
         for i, c in enumerate(components)
     )
     return _build(
@@ -167,13 +184,12 @@ def _parse_profile(obj, path):
 
 
 def _parse_media_channel(obj, path):
-    _check_fields(obj, path, ("center", "width"), ("guard_band_each_side",))
+    _check_fields(obj, path, ("center", "width"))
     return _build(
         MediaChannel,
         path,
         center=_number(obj, "center", path),
         width=_number(obj, "width", path),
-        guard_band_each_side=_number(obj, "guard_band_each_side", path, 0.0),
     )
 
 
@@ -183,7 +199,7 @@ def _parse_neighbor(obj, path):
         SignalSpectrum,
         path,
         symbol_rate=_number(obj, "symbol_rate", path),
-        roll_off=_number(obj, "roll_off", path, 0.19),
+        roll_off=_number(obj, "roll_off", path, DEFAULT_ROLL_OFF),
         center=_number(obj, "center", path),
     )
     return NeighborChannel(spectrum, _number(obj, "power_offset_db", path, 0.0))
@@ -212,7 +228,6 @@ def _parse_scenario(obj, path):
             "filtering_exponent",
             "measurement_noise_sigma_db",
             "outage_ber",
-            "fec_ber",
             "seed",
             "grid",
         ),
@@ -236,14 +251,13 @@ def _parse_scenario(obj, path):
         filtering_exponent=_number(obj, "filtering_exponent", path, 2.0),
         measurement_noise_sigma_db=_number(obj, "measurement_noise_sigma_db", path, 0.1),
         outage_ber=_number(obj, "outage_ber", path, 5e-2),
-        fec_ber=_number(obj, "fec_ber", path, 2e-2),
         seed=_integer(obj, "seed", path, 0),
         grid=grid,
     )
 
 
 def _parse_probe(obj, path):
-    _check_fields(obj, path, ("entry",), ("roll_off", "p_ref_dbm", "sr_ref_gbd"))
+    _check_fields(obj, path, ("entry",), ("roll_off",))
     name = _string(obj, "entry", path)
     try:
         entry = catalog_entry(name)
@@ -253,20 +267,19 @@ def _parse_probe(obj, path):
         ProbeConfig,
         path,
         entry=entry,
-        roll_off=_number(obj, "roll_off", path, 0.19),
-        p_ref_dbm=_number(obj, "p_ref_dbm", path, 0.0),
-        sr_ref_gbd=_number(obj, "sr_ref_gbd", path, 12.5),
+        roll_off=_number(obj, "roll_off", path, DEFAULT_ROLL_OFF),
     )
 
 
 def _parse_offsets(obj, path):
     _check_fields(obj, path, ("start", "stop", "step"))
-    start = _number(obj, "start", path)
-    stop = _number(obj, "stop", path)
-    step = _number(obj, "step", path)
-    if step <= 0 or start > stop:
-        raise ScenarioFormatError(path, "need step > 0 and start <= stop")
-    return CrosstalkOffsets(start, stop, step)
+    return _build(
+        CrosstalkOffsets,
+        path,
+        start=_number(obj, "start", path),
+        stop=_number(obj, "stop", path),
+        step=_number(obj, "step", path),
+    )
 
 
 def parse_scenario_file(data, path="$"):
@@ -293,10 +306,15 @@ def parse_scenario_file(data, path="$"):
         _check_fields(sweep, f"{path}.sweep", (), ("step", "trials_per_point"))
         step = _number(sweep, "step", f"{path}.sweep", 6.25)
         trials = _integer(sweep, "trials_per_point", f"{path}.sweep", 1)
-        if step <= 0:
-            raise ScenarioFormatError(f"{path}.sweep.step", "must be > 0")
-        if trials < 1:
-            raise ScenarioFormatError(f"{path}.sweep.trials_per_point", "must be >= 1")
+    # Validates step, trials and the carrier count against the swept slot.
+    _build(
+        SweepPlan,
+        f"{path}.sweep",
+        slot=scenario.media_channels[0],
+        probes=probes,
+        step=step,
+        trials_per_point=trials,
+    )
 
     slot_probes = _parse_list(data, "slot_probes", path, _parse_probe)
     if slot_probes and len(slot_probes) != len(scenario.media_channels):
@@ -359,12 +377,7 @@ def _ripple_dict(rip):
 
 
 def _probe_dict(probe):
-    return {
-        "entry": probe.entry.name,
-        "roll_off": probe.roll_off,
-        "p_ref_dbm": probe.p_ref_dbm,
-        "sr_ref_gbd": probe.sr_ref_gbd,
-    }
+    return {"entry": probe.entry.name, "roll_off": probe.roll_off}
 
 
 def serialize_scenario_file(sf):
@@ -382,12 +395,7 @@ def serialize_scenario_file(sf):
 
     scenario = {
         "media_channels": [
-            {
-                "center": mc.center,
-                "width": mc.width,
-                "guard_band_each_side": mc.guard_band_each_side,
-            }
-            for mc in sc.media_channels
+            {"center": mc.center, "width": mc.width} for mc in sc.media_channels
         ],
         "filters": [
             {
@@ -412,7 +420,6 @@ def serialize_scenario_file(sf):
         "filtering_exponent": sc.filtering_exponent,
         "measurement_noise_sigma_db": sc.measurement_noise_sigma_db,
         "outage_ber": sc.outage_ber,
-        "fec_ber": sc.fec_ber,
         "seed": sc.seed,
         "grid": {
             "start": sc.grid.start,
@@ -529,6 +536,22 @@ def crosstalk_result_csv(scan):
     return "\n".join(lines) + "\n"
 
 
+def carrier_plan_dict(plan):
+    return {
+        "guard_ghz": plan.guard_ghz,
+        "assignments": [
+            {
+                "center_ghz": a.center_ghz,
+                "entry": a.entry_name,
+                "predicted_margin_db": a.predicted_margin_db,
+                "occupied_width_ghz": a.occupied_width_ghz,
+            }
+            for a in plan.assignments
+        ],
+        "shortfalls_db": dict(plan.shortfalls_db),
+    }
+
+
 def diagnosis_report_dict(report):
     bw = report.effective_bandwidth
     offset = report.center_offset
@@ -553,21 +576,7 @@ def diagnosis_report_dict(report):
             probe: [{"carrier": c, "penalty_db": p} for c, p in pts]
             for probe, pts in report.per_probe_penalty_curves.items()
         },
-        "carrier_plan": None
-        if plan is None
-        else {
-            "guard_ghz": plan.guard_ghz,
-            "assignments": [
-                {
-                    "center_ghz": a.center_ghz,
-                    "entry": a.entry_name,
-                    "predicted_margin_db": a.predicted_margin_db,
-                    "occupied_width_ghz": a.occupied_width_ghz,
-                }
-                for a in plan.assignments
-            ],
-            "shortfalls_db": dict(plan.shortfalls_db),
-        },
+        "carrier_plan": None if plan is None else carrier_plan_dict(plan),
         "guard_band_recommendations": {
             pair: {"min_spacing_ghz": g.min_spacing_ghz, "guard_band_ghz": g.guard_band_ghz}
             for pair, g in report.guard_band_recommendations.items()

@@ -14,6 +14,10 @@ import numpy as np
 from specsweep.errors import ConfigurationError
 
 DEFAULT_RESOLUTION = 0.05
+DEFAULT_ROLL_OFF = 0.19
+# Upper bound on integration grid points, checked before the grid is built
+# (8 MB per float array at the bound).
+MAX_GRID_POINTS = 1_000_000
 LN2 = np.log(2.0)
 
 
@@ -39,6 +43,8 @@ class FrequencyGrid:
             raise ValueError(f"grid start {self.start} must be < stop {self.stop}")
         if self.resolution <= 0:
             raise ValueError(f"grid resolution must be > 0, got {self.resolution}")
+        if not (self.stop - self.start) / self.resolution < MAX_GRID_POINTS:
+            raise ValueError(f"grid must contain at most {MAX_GRID_POINTS} points")
         if self.npoints < 2:
             raise ValueError("grid must contain at least 2 points")
 
@@ -59,12 +65,12 @@ def _grid_points(start, resolution, npoints):
 class SignalSpectrum:
     """Raised-cosine power spectrum of an RRC-shaped signal.
 
-    ``center`` is the absolute carrier frequency; ``psd`` takes offsets
-    relative to it.
+    ``center`` is the absolute carrier frequency; ``signal_psd`` takes
+    offsets relative to it.
     """
 
     symbol_rate: float
-    roll_off: float = 0.19
+    roll_off: float = DEFAULT_ROLL_OFF
     center: float = 0.0
 
     def __post_init__(self):
@@ -73,10 +79,6 @@ class SignalSpectrum:
     @property
     def occupied_width(self):
         return (1.0 + self.roll_off) * self.symbol_rate
-
-    def psd(self, offset):
-        """Unit-power PSD (1/GHz) at ``offset`` GHz from the carrier."""
-        return signal_psd(offset, self)
 
 
 def signal_psd(offset, spectrum):
@@ -101,7 +103,7 @@ def signal_psd(offset, spectrum):
 
 @dataclass(frozen=True)
 class Ripple:
-    """Sinusoidal insertion ripple applied on top of a filter response (dB)."""
+    """Sinusoidal ripple (dB) on a filter response or on a GSNR profile."""
 
     amplitude_db: float
     period_ghz: float
@@ -132,10 +134,6 @@ class FilterElement:
             raise ValueError("bandwidth_3db must be > 0")
         if self.order < 1:
             raise ValueError("filter order must be >= 1")
-
-    def power_response(self, offset):
-        """Power transmission at ``offset`` GHz from the filter center."""
-        return filter_power_response(offset, self)
 
 
 def filter_power_response(offset, filt):

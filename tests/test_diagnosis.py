@@ -18,12 +18,11 @@ from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
     ProbeConfig,
-    ProfileRipple,
     Scenario,
     open_session,
 )
 from specsweep.probe import SweepPlan, run_sweep
-from specsweep.spectral import FilterElement
+from specsweep.spectral import FilterElement, Ripple
 
 QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
 HYB46 = ProbeConfig(catalog_entry("200G-46GBd-DP-P-16QAM"))
@@ -144,7 +143,7 @@ def test_ripple_recovery_flat_profile():
         base=20.0,
         width=400.0,
         # Cosine phase keeps the sinusoid orthogonal to the fitted line.
-        ripple=[ProfileRipple(0.4, 200.0, np.pi / 2)],
+        ripple=[Ripple(0.4, 200.0, np.pi / 2)],
         probes=(QAM34,),
     )
     est = estimate_tilt_ripple(sweep)

@@ -1,6 +1,8 @@
 """Scenario file format and CLI tests."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -17,6 +19,14 @@ from specsweep.scenario_io import (
 )
 
 FIXTURES = ["route_a.json", "route_b.json", "route_c.json", "xtalk_5slot.json", "xtalk_mixed.json"]
+# Every documented command on every fixture it applies to.
+FIXTURE_COMMANDS = (
+    [("sweep", f) for f in FIXTURES]
+    + [("diagnose", f) for f in FIXTURES]
+    + [("recommend", "route_c.json")]
+    + [("crosstalk", f) for f in FIXTURES if f.startswith("xtalk")]
+    + [("validate", f) for f in FIXTURES]
+)
 
 
 def minimal_doc():
@@ -46,6 +56,19 @@ def test_unknown_field_rejected_with_path():
         parse_scenario_file(doc)
     assert err.value.path == "$.scenario.filters[0].shape"
 
+    # Fields the model never read are gone from the schema.
+    for where, key in (
+        (lambda d: d["scenario"], "fec_ber"),
+        (lambda d: d["scenario"]["media_channels"][0], "guard_band_each_side"),
+        (lambda d: d["probes"][0], "p_ref_dbm"),
+        (lambda d: d["probes"][0], "sr_ref_gbd"),
+    ):
+        doc = minimal_doc()
+        where(doc)[key] = 0.0
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario_file(doc)
+        assert err.value.path.endswith(key) and err.value.message == "unknown field"
+
 
 def test_invalid_values_rejected():
     doc = minimal_doc()
@@ -64,6 +87,39 @@ def test_invalid_values_rejected():
     with pytest.raises(ScenarioFormatError) as err:
         parse_scenario_file(doc)
     assert err.value.path == "$.probes[0].entry"
+
+    def rejected(mutate):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario_file(doc)
+        return err.value
+
+    # Non-finite numbers (json.loads accepts NaN and Infinity).
+    err = rejected(lambda d: d["scenario"]["media_channels"][0].update(width=float("nan")))
+    assert err.path == "$.scenario.media_channels[0].width"
+    err = rejected(
+        lambda d: d["scenario"].update(filters=[{"center": 0.0, "bandwidth_3db": float("inf")}])
+    )
+    assert err.path == "$.scenario.filters[0].bandwidth_3db"
+    err = rejected(lambda d: d["scenario"]["gsnr_profile"].update(base_gsnr_db=-math.inf))
+    assert err.path == "$.scenario.gsnr_profile.base_gsnr_db"
+
+    for ber in (0.9, 0.5, 0.0, -1.0):
+        err = rejected(lambda d: d["scenario"].update(outage_ber=ber))
+        assert "outage_ber" in err.message
+
+    # Size bounds, all far beyond the limit so nothing is allocated.
+    err = rejected(
+        lambda d: d["scenario"].update(grid={"start": -300.0, "stop": 300.0, "resolution": 1e-9})
+    )
+    assert err.path == "$.scenario.grid"
+    err = rejected(lambda d: d.update(sweep={"step": 1e-9}))
+    assert err.path == "$.sweep"
+    err = rejected(
+        lambda d: d.update(crosstalk_offsets={"start": -37.5, "stop": 37.5, "step": 1e-9})
+    )
+    assert err.path == "$.crosstalk_offsets"
 
 
 def test_missing_required_field():
@@ -201,8 +257,44 @@ def test_cli_seed_override_changes_output(tmp_path):
 
 
 def test_console_script_installed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "specsweep.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "specsweep.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,fixture", FIXTURE_COMMANDS)
+def test_documented_command_succeeds(command, fixture, tmp_path, capsys):
+    argv = [command, "--scenario", str(fixture_path(fixture))]
+    if command == "validate":
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("ok ")
+        return
+    out = tmp_path / "report.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    report = _strict_json(out.read_text())
+    assert report["scenario_hash"] and report["config"]
+
+
+def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
+    doc = json.loads(fixture_path("route_b.json").read_text())
+    doc["scenario"]["gsnr_profile"]["base_gsnr_db"] = 60.0
+    scenario, out = tmp_path / "bright.json", tmp_path / "sweep.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(out)) == 0
+    points = [p for c in _strict_json(out.read_text())["sweep"]["curves"] for p in c["points"]]
+    readings = [p["gsnr_db"] for p in points if not p["outage"]]
+    assert readings and all(math.isfinite(g) for g in readings)

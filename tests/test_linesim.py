@@ -18,7 +18,6 @@ from specsweep.linesim import (
     MediaChannel,
     NeighborChannel,
     ProbeConfig,
-    ProfileRipple,
     Scenario,
     crosstalk_lin,
     filtering_penalty_db,
@@ -26,7 +25,7 @@ from specsweep.linesim import (
     measure,
     open_session,
 )
-from specsweep.spectral import FilterElement, SignalSpectrum
+from specsweep.spectral import FilterElement, Ripple, SignalSpectrum
 
 QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
 QAM34 = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
@@ -56,7 +55,7 @@ def test_local_gsnr_profile():
     assert local_gsnr_db(tilted, 200.0) == pytest.approx(17.0 + 1.25)
     rippled = flat_scenario(
         17.0,
-        gsnr_profile=GsnrProfile(17.0, ripple_components=(ProfileRipple(0.5, 40.0),)),
+        gsnr_profile=GsnrProfile(17.0, ripple_components=(Ripple(0.5, 40.0),)),
     )
     assert local_gsnr_db(rippled, 10.0) == pytest.approx(17.5)  # sin peak at P/4
 
