@@ -55,6 +55,7 @@ def _load(args):
         sf = replace(sf, sweep_step=args.step)
     if getattr(args, "trials", None) is not None:
         sf = replace(sf, trials_per_point=args.trials)
+    _sweep_plan(sf)  # the overrides get the checks of the file's sweep section
     return sf
 
 
@@ -102,15 +103,17 @@ def _emit(args, sf, json_body, csv_text):
             sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sweep(sf):
-    session = open_session(sf.scenario)
-    plan = SweepPlan(
+def _sweep_plan(sf):
+    return SweepPlan(
         slot=sf.scenario.media_channels[0],
         probes=sf.probes,
         step=sf.sweep_step,
         trials_per_point=sf.trials_per_point,
     )
-    return run_sweep(session, plan)
+
+
+def _sweep(sf):
+    return run_sweep(open_session(sf.scenario), _sweep_plan(sf))
 
 
 def cmd_sweep(args):

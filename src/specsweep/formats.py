@@ -6,11 +6,12 @@ at any symbol rate therefore maps onto one comparable channel metric.
 """
 
 import enum
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 REFERENCE_BANDWIDTH_GHZ = 12.5
 FEC_BER = 2e-2
@@ -18,6 +19,7 @@ DEFAULT_OUTAGE_BER = 5e-2
 SNR_FLOOR_DB = -30.0
 _SNR_TOL_DB = 1e-4
 _BER_FLOOR = 1e-300
+_STANDARD_NORMAL = NormalDist()
 
 
 class BerCurve(enum.Enum):
@@ -86,29 +88,36 @@ def catalog_entry(name):
 
 
 def _ber_qpsk(snr_lin):
-    return 0.5 * erfc(np.sqrt(snr_lin / 2.0))
+    return 0.5 * math.erfc(math.sqrt(snr_lin / 2.0))
 
 
 def _ber_qam16(snr_lin):
     # Gray-coded square 16QAM approximation.
-    return (3.0 / 8.0) * erfc(np.sqrt(snr_lin / 10.0))
+    return (3.0 / 8.0) * math.erfc(math.sqrt(snr_lin / 10.0))
 
 
-def ber_from_snr(fmt, snr_db):
-    """Pre-FEC BER of a format at the given in-band SNR (dB)."""
-    snr_lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    if fmt.ber_curve is BerCurve.QPSK:
+def _ber(curve, snr_db):
+    """Scalar BER of one curve at ``snr_db``, clipped to [_BER_FLOOR, 0.5]."""
+    snr_lin = 10.0 ** (snr_db / 10.0)
+    if curve is BerCurve.QPSK:
         ber = _ber_qpsk(snr_lin)
-    elif fmt.ber_curve is BerCurve.QAM16:
+    elif curve is BerCurve.QAM16:
         ber = _ber_qam16(snr_lin)
     else:
         # Hybrid 8-bit/4D format: geometric mean of the parent curves keeps it
         # strictly between QPSK and 16QAM at every SNR.
-        ber = np.sqrt(_ber_qpsk(snr_lin) * _ber_qam16(snr_lin))
-    ber = np.clip(ber, _BER_FLOOR, 0.5)
+        ber = math.sqrt(_ber_qpsk(snr_lin) * _ber_qam16(snr_lin))
+    return min(max(ber, _BER_FLOOR), 0.5)
+
+
+_ber_array = np.vectorize(_ber, otypes=[float])
+
+
+def ber_from_snr(fmt, snr_db):
+    """Pre-FEC BER of a format at the given in-band SNR (dB), scalar or array."""
     if np.ndim(snr_db) == 0:
-        return float(ber)
-    return ber
+        return _ber(fmt.ber_curve, float(snr_db))
+    return _ber_array(fmt.ber_curve, np.asarray(snr_db, dtype=float))
 
 
 def snr_from_ber(fmt, ber):
@@ -128,16 +137,16 @@ def snr_from_ber(fmt, ber):
 
 
 def q_db_from_ber(ber):
-    """Q-factor in dB: 20 log10(sqrt(2) * erfcinv(2 ber))."""
+    """Q-factor in dB: 20 log10(sqrt(2) * erfcinv(2 ber)) = 20 log10(-Phi^-1(ber))."""
     if not 0.0 < ber < 0.5:
         raise ValueError(f"ber must be in (0, 0.5), got {ber}")
-    return float(20.0 * np.log10(np.sqrt(2.0) * erfcinv(2.0 * ber)))
+    return 20.0 * math.log10(-_STANDARD_NORMAL.inv_cdf(ber))
 
 
 def ber_from_q_db(q_db):
     """Inverse of q_db_from_ber, floored where erfc underflows (as ber_from_snr)."""
     q_lin = 10.0 ** (q_db / 20.0)
-    return float(max(0.5 * erfc(q_lin / np.sqrt(2.0)), _BER_FLOOR))
+    return max(0.5 * math.erfc(q_lin / math.sqrt(2.0)), _BER_FLOOR)
 
 
 def normalize_gsnr(snr_db, symbol_rate):

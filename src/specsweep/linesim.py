@@ -8,6 +8,7 @@ that the sweep engine and diagnosis are allowed to see.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -173,16 +174,32 @@ def local_gsnr_db(scenario, f):
     return scenario.gsnr_profile.evaluate(f, scenario.media_channels[0])
 
 
+def _occupied_slice(grid, spectrum):
+    """Grid indices covering the signal's occupied band, one more point each side."""
+    half = spectrum.occupied_width / 2.0
+    lo = math.floor((spectrum.center - half - grid.start) / grid.resolution) - 1
+    hi = math.ceil((spectrum.center + half - grid.start) / grid.resolution) + 1
+    return slice(max(lo, 0), max(min(hi + 1, grid.npoints), 0))
+
+
 def _filtered_psd(scenario, spectrum):
-    """Grid, PSD after the filter cascade, its power and rho, the transmitted power fraction."""
-    f = scenario.grid.points()
+    """Grid, PSD after the filter cascade, its power and rho, the transmitted power fraction.
+
+    The PSD is zero outside the occupied band, so only the grid points that
+    cover it are integrated.
+    """
+    window = _occupied_slice(scenario.grid, spectrum)
+    f = scenario.grid.points()[window]
     s = signal_psd(f - spectrum.center, spectrum)
     s_total = np.trapezoid(s, f)
     if s_total <= 0.0:
         raise ConfigurationError(
             f"signal at {spectrum.center} GHz lies outside the scenario grid"
         )
-    weight = s * _cascade_on_grid(scenario.filters, scenario.grid) if scenario.filters else s
+    if scenario.filters:
+        weight = s * _cascade_on_grid(scenario.filters, scenario.grid)[window]
+    else:
+        weight = s
     norm = np.trapezoid(weight, f)
     return f, weight, norm, float(norm / s_total)
 
@@ -230,22 +247,20 @@ def _q_noise_db(scenario, carrier, probe, trial_index):
     return float(rng.normal(0.0, scenario.measurement_noise_sigma_db))
 
 
-def measure(scenario, carrier, probe, trial_index=0):
-    """Black-box Q reading of ``probe`` at ``carrier`` (deterministic).
+@lru_cache(maxsize=32)
+def _noiseless_q_db(scenario, carrier, probe):
+    """Q (dB) before read noise, or None on outage.
 
-    Chain: profile average weighted by the received spectrum, filtering
+    The cache only has to span the trials of one point, which are read in a
+    row, and a crosstalk scan's re-read of its aligned carrier a few points
+    later. Chain: profile average weighted by the received spectrum, filtering
     penalty, crosstalk added inverse-linearly, then GSNR -> in-band SNR ->
-    BER -> Q with seeded Gaussian read noise.
+    BER -> Q.
     """
-    lo, hi = scenario.span
-    if not lo <= carrier <= hi:
-        raise ValueError(
-            f"carrier {carrier} GHz outside media channel span [{lo}, {hi}]"
-        )
     spectrum = probe.spectrum_at(carrier)
     f, weight, norm, rho = _filtered_psd(scenario, spectrum)
     if rho <= 0.0:
-        return MeasurementResult(carrier, probe.probe_id, outage=True)
+        return None
 
     profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
     g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
@@ -256,8 +271,25 @@ def measure(scenario, carrier, probe, trial_index=0):
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
     ber = ber_from_snr(probe.entry.format, snr_db)
     if ber > scenario.outage_ber:
+        return None
+    return q_db_from_ber(ber)
+
+
+def measure(scenario, carrier, probe, trial_index=0):
+    """Black-box Q reading of ``probe`` at ``carrier`` (deterministic).
+
+    The noiseless Q of the point plus seeded Gaussian read noise; outage
+    is decided before the noise, so every trial of a point agrees on it.
+    """
+    lo, hi = scenario.span
+    if not lo <= carrier <= hi:
+        raise ValueError(
+            f"carrier {carrier} GHz outside media channel span [{lo}, {hi}]"
+        )
+    q_db = _noiseless_q_db(scenario, carrier, probe)
+    if q_db is None:
         return MeasurementResult(carrier, probe.probe_id, outage=True)
-    q_db = q_db_from_ber(ber) + _q_noise_db(scenario, carrier, probe, trial_index)
+    q_db += _q_noise_db(scenario, carrier, probe, trial_index)
     return MeasurementResult(carrier, probe.probe_id, q_db=q_db)
 
 

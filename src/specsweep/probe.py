@@ -6,6 +6,7 @@ converted back to a symbol-rate-normalized GSNR sample. The engine sees only
 a BlackBoxProbe (or the crosstalk bench's sessions), never a Scenario.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -21,8 +22,10 @@ from specsweep.formats import (
 from specsweep.linesim import MediaChannel, ProbeConfig
 
 DEFAULT_STEP_GHZ = 6.25
-# Upper bound on carriers per sweep, checked before the carrier grid is built.
+# Upper bounds on carriers per sweep and reads per point, checked before
+# the carrier grid is built or anything is read.
 MAX_SWEEP_CARRIERS = 10_000
+MAX_TRIALS_PER_POINT = 1_000
 
 
 @dataclass(frozen=True)
@@ -35,10 +38,13 @@ class SweepPlan:
     trials_per_point: int = 1
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("sweep step must be > 0")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError(f"sweep step must be finite and > 0, got {self.step}")
+        if not 1 <= self.trials_per_point <= MAX_TRIALS_PER_POINT:
+            raise ValueError(
+                f"trials_per_point must be in [1, {MAX_TRIALS_PER_POINT}], "
+                f"got {self.trials_per_point}"
+            )
         if not (self.slot.width + 1e-9) / self.step < MAX_SWEEP_CARRIERS:
             raise ValueError(
                 f"sweep step {self.step} GHz over a {self.slot.width} GHz slot "

@@ -174,13 +174,23 @@ def overlap_coefficient(victim, interferer, spacing, resolution=DEFAULT_RESOLUTI
             f"integration resolution {resolution} GHz too coarse for "
             f"symbol rate {min_sr} GBd (max {min_sr / 20.0:.3f} GHz)"
         )
-    half_v = victim.occupied_width / 2.0
-    half_i = interferer.occupied_width / 2.0
-    if spacing >= half_v + half_i:
+    if spacing >= (victim.occupied_width + interferer.occupied_width) / 2.0:
         return 0.0
-    f = np.arange(-half_v, half_v + resolution, resolution)
-    sv = signal_psd(f, victim)
+    f, sv, den = _victim_support(victim.symbol_rate, victim.roll_off, resolution)
     si = signal_psd(f - spacing, interferer)
     num = np.trapezoid(sv * si, f)
-    den = np.trapezoid(sv * sv, f)
     return float(num / den)
+
+
+@lru_cache(maxsize=64)
+def _victim_support(symbol_rate, roll_off, resolution):
+    """Offsets across a victim's occupied band, its PSD there and int Sv^2 df.
+
+    The PSD does not depend on the carrier, so one entry serves every
+    spacing of a guard-band bisection and every carrier of a sweep.
+    """
+    victim = SignalSpectrum(symbol_rate, roll_off)
+    half_v = victim.occupied_width / 2.0
+    f = np.arange(-half_v, half_v + resolution, resolution)
+    sv = signal_psd(f, victim)
+    return f, sv, np.trapezoid(sv * sv, f)

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import erfc, erfcinv
 
 from specsweep.formats import (
+    _BER_FLOOR,
     BUILTIN_CATALOG,
     BerCurve,
     DP_16QAM,
@@ -108,6 +109,34 @@ def test_q_from_ber_oracle_values():
     assert q_db_from_ber(1e-3) == pytest.approx(9.8, abs=0.1)
     with pytest.raises(ValueError):
         q_db_from_ber(0.5)
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+def test_ber_scalar_and_array_paths_agree_exactly(fmt):
+    snrs = np.concatenate([np.linspace(-40.0, 70.0, 441), [-30.0, 0.0, 12.345678901234]])
+    array = ber_from_snr(fmt, snrs)
+    assert array.shape == snrs.shape
+    assert [ber_from_snr(fmt, float(s)) for s in snrs] == array.tolist()
+    assert ber_from_snr(fmt, snrs.reshape(-1, 1)).ravel().tolist() == array.tolist()
+
+
+# Q crosses 0 dB at ber ~ 0.159, where a relative tolerance on q_db alone is
+# unbounded; 1e-13 dB is the absolute slack there.
+BER_GRID = np.concatenate(
+    [np.logspace(np.log10(_BER_FLOOR), np.log10(0.5), 1500, endpoint=False), [0.4999999]]
+)
+
+
+def test_q_db_from_ber_matches_oracle_over_range():
+    for ber in BER_GRID:
+        assert q_db_from_ber(float(ber)) == pytest.approx(oracle_q_db(ber), rel=1e-12, abs=1e-13)
+
+
+def test_ber_from_q_db_matches_oracle_over_range():
+    for ber in BER_GRID:
+        q_db = oracle_q_db(ber)
+        oracle = max(0.5 * erfc(10.0 ** (q_db / 20.0) / np.sqrt(2.0)), _BER_FLOOR)
+        assert ber_from_q_db(q_db) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_q_ber_round_trip():

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from specsweep import fixture_path, load_fixture
+from specsweep import fixture_path, linesim, load_fixture
 from specsweep.cli import main
 from specsweep.errors import ScenarioFormatError
+from specsweep.probe import MAX_TRIALS_PER_POINT
 from specsweep.scenario_io import (
     load_scenario,
     parse_scenario_file,
@@ -256,17 +257,29 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_console_script_installed():
+def run_checkout_python(*args):
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specsweep.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_installed():
+    proc = run_checkout_python("-m", "specsweep.cli", "--help")
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test oracle only; importing the CLI must not load it."""
+    proc = run_checkout_python("-c", "import sys, specsweep.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _strict_json(text):
@@ -298,3 +311,39 @@ def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
     points = [p for c in _strict_json(out.read_text())["sweep"]["curves"] for p in c["points"]]
     readings = [p["gsnr_db"] for p in points if not p["outage"]]
     assert readings and all(math.isfinite(g) for g in readings)
+
+
+def _crosstalk_without_offsets(tmp_path):
+    doc = json.loads(fixture_path("xtalk_mixed.json").read_text())
+    del doc["crosstalk_offsets"]
+    p = tmp_path / "xtalk_default_offsets.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("step", ["0", "-6.25", "nan", "inf", "1e-9"])
+def test_cli_step_override_gets_file_checks(step, tmp_path, capsys):
+    scenario = _crosstalk_without_offsets(tmp_path)
+    for command in ("crosstalk", "sweep"):
+        assert run_cli(command, "--scenario", scenario, "--step", step) == 2
+        assert "sweep step" in capsys.readouterr().err
+
+
+def test_trials_per_point_bounded_before_any_read(tmp_path, capsys, monkeypatch):
+    def no_reads(*args, **kwargs):
+        raise AssertionError("measure() called before the trials bound was checked")
+
+    monkeypatch.setattr(linesim, "measure", no_reads)
+    scenario = _crosstalk_without_offsets(tmp_path)
+    for trials in (str(MAX_TRIALS_PER_POINT + 1), "0"):
+        for command in ("crosstalk", "sweep"):
+            assert run_cli(command, "--scenario", scenario, "--trials", trials) == 2
+            assert "trials_per_point" in capsys.readouterr().err
+
+    doc = minimal_doc()
+    doc["sweep"] = {"trials_per_point": MAX_TRIALS_PER_POINT + 1}
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_file(doc)
+    assert err.value.path == "$.sweep"
+    doc["sweep"] = {"trials_per_point": MAX_TRIALS_PER_POINT}
+    parse_scenario_file(doc)

@@ -1,5 +1,7 @@
 """Tests of the ground-truth model and the black-box measurement chain."""
 
+import hashlib
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,8 @@ from specsweep.formats import (
     q_db_from_ber,
 )
 from specsweep.linesim import (
+    _filtered_psd,
+    _noiseless_q_db,
     CrosstalkBench,
     GsnrProfile,
     MediaChannel,
@@ -25,7 +29,14 @@ from specsweep.linesim import (
     measure,
     open_session,
 )
-from specsweep.spectral import FilterElement, Ripple, SignalSpectrum
+from specsweep.spectral import (
+    FilterElement,
+    FrequencyGrid,
+    Ripple,
+    SignalSpectrum,
+    cascade_power_response,
+    signal_psd,
+)
 
 QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
 QAM34 = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
@@ -221,3 +232,102 @@ def test_bench_sessions_see_neighbors():
     shifted.set_carrier(18.75)
     shifted.set_probe(QPSK69)
     assert shifted.read_q().q_db < q0
+
+
+def full_grid_psd(scenario, spectrum):
+    """_filtered_psd integrated over the whole grid."""
+    f = scenario.grid.points()
+    s = signal_psd(f - spectrum.center, spectrum)
+    weight = s * cascade_power_response(scenario.filters, f)
+    norm = np.trapezoid(weight, f)
+    return f, weight, norm, norm / np.trapezoid(s, f)
+
+
+def reference_q_db(scenario, carrier, probe):
+    """Noiseless Q recomputed from scratch over the full grid (None on outage)."""
+    spectrum = probe.spectrum_at(carrier)
+    f, weight, norm, rho = full_grid_psd(scenario, spectrum)
+    if rho <= 0.0:
+        return None
+    profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
+    g = np.trapezoid(weight * profile_lin, f) / norm * rho**scenario.filtering_exponent
+    g_eff = 1.0 / (1.0 / g + crosstalk_lin(scenario, spectrum))
+    snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
+    ber = ber_from_snr(probe.entry.format, snr_db)
+    return None if ber > scenario.outage_ber else q_db_from_ber(ber)
+
+
+def reference_noise_db(scenario, carrier, probe, trial_index):
+    key = f"{scenario.seed}|{carrier:.6f}|{probe.probe_id}|{trial_index}"
+    seed = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")
+    return float(np.random.default_rng(seed).normal(0.0, scenario.measurement_noise_sigma_db))
+
+
+def test_measure_equals_uncached_full_grid_reference():
+    """Interleaved reads agree with the chain recomputed per read over the whole grid.
+
+    Covers carriers at both slot edges, a probe overhanging the grid edge,
+    a filtered slot whose edge carriers go into outage, and neighbors.
+    """
+    narrow_grid = FrequencyGrid(-100.0, 100.0)
+    scenarios = (
+        flat_scenario(17.0, measurement_noise_sigma_db=0.1),
+        flat_scenario(
+            19.0,
+            media_channels=(MediaChannel(10.0, 150.0),),
+            filters=(FilterElement(12.0, 120.0, order=4, ripple=Ripple(0.4, 31.25, 0.3)),),
+            gsnr_profile=GsnrProfile(19.0, tilt_db=2.0),
+            filtering_exponent=4.0,
+            measurement_noise_sigma_db=0.1,
+            seed=11,
+        ),
+        # Edge carriers put the probe's band past the grid's ends.
+        flat_scenario(18.0, media_channels=(MediaChannel(0.0, 190.0),), grid=narrow_grid),
+        flat_scenario(
+            20.0,
+            neighbors=(NeighborChannel(SignalSpectrum(46.0, 0.19, 75.0)),),
+            crosstalk_coupling=0.05,
+            measurement_noise_sigma_db=0.2,
+        ),
+    )
+    reads = [
+        (sc, carrier, probe, trial)
+        for sc in scenarios
+        for carrier in (sc.span[0], sc.span[0] + 3.125, sc.media_channels[0].center, sc.span[1])
+        for probe in (QPSK69, HYB46, QAM34)
+        for trial in range(3)
+    ]
+    random.Random(7).shuffle(reads)
+    _noiseless_q_db.cache_clear()
+    outages = 0
+    for sc, carrier, probe, trial in reads:
+        res = measure(sc, carrier, probe, trial)
+        clean = reference_q_db(sc, carrier, probe)
+        if clean is None:
+            outages += 1
+            assert res.outage
+            continue
+        noiseless = _noiseless_q_db(sc, carrier, probe)
+        assert noiseless == pytest.approx(clean, rel=1e-12)
+        assert res.q_db == noiseless + reference_noise_db(sc, carrier, probe, trial)
+    assert 0 < outages < len(reads)
+
+
+def test_windowed_integral_matches_full_grid():
+    grid = FrequencyGrid(-100.0, 100.0)
+    sc = flat_scenario(filters=(FilterElement(5.0, 70.0, order=3),), grid=grid)
+    for center in (-110.0, -95.0, -17.3, 0.0, 41.0, 99.99, 110.0):
+        for spectrum in (SignalSpectrum(69.0, 0.19, center), SignalSpectrum(34.0, 0.0, center)):
+            _, _, norm, rho = _filtered_psd(sc, spectrum)
+            _, _, full_norm, full_rho = full_grid_psd(sc, spectrum)
+            assert norm == pytest.approx(full_norm, rel=1e-12)
+            assert rho == pytest.approx(full_rho, rel=1e-12)
+
+
+def test_signal_off_the_grid_still_raises():
+    sc = flat_scenario(media_channels=(MediaChannel(300.0, 100.0),), grid=FrequencyGrid(-100.0, 100.0))
+    for carrier in (260.0, 300.0):
+        with pytest.raises(ConfigurationError):
+            measure(sc, carrier, QPSK69)
+    with pytest.raises(ConfigurationError):
+        _filtered_psd(sc, SignalSpectrum(69.0, 0.19, -300.0))
