@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -11,13 +12,18 @@ import pytest
 from specsweep import fixture_path, linesim, load_fixture
 from specsweep.cli import main
 from specsweep.errors import ScenarioFormatError
+from specsweep.formats import BUILTIN_CATALOG
+from specsweep.linesim import GsnrProfile, MediaChannel, NeighborChannel, ProbeConfig, Scenario
 from specsweep.probe import MAX_TRIALS_PER_POINT
 from specsweep.scenario_io import (
+    CrosstalkOffsets,
+    ScenarioFile,
     load_scenario,
     parse_scenario_file,
     scenario_hash,
     serialize_scenario_file,
 )
+from specsweep.spectral import FilterElement, FrequencyGrid, Ripple, SignalSpectrum
 
 FIXTURES = ["route_a.json", "route_b.json", "route_c.json", "xtalk_5slot.json", "xtalk_mixed.json"]
 # Every documented command on every fixture it applies to.
@@ -28,6 +34,34 @@ FIXTURE_COMMANDS = (
     + [("crosstalk", f) for f in FIXTURES if f.startswith("xtalk")]
     + [("validate", f) for f in FIXTURES]
 )
+# Golden scenario hashes and report configs of the bundled fixtures.
+FIXTURE_HASHES = {
+    "route_a.json": "6ab1cac8e70aeeed",
+    "route_b.json": "cd659a0394d6c614",
+    "route_c.json": "102c86ed1169a224",
+    "xtalk_5slot.json": "ff56d62e5ae909f8",
+    "xtalk_mixed.json": "86b2b752614a7454",
+}
+GRID = {"start": -300.0, "stop": 300.0, "resolution": 0.05}
+FIXTURE_CONFIGS = {
+    name: {
+        "crosstalk_coupling": coupling,
+        "filtering_exponent": exponent,
+        "grid": GRID,
+        "measurement_noise_sigma_db": sigma,
+        "outage_ber": 0.05,
+        "seed": seed,
+        "sweep_step": 6.25,
+        "trials_per_point": trials,
+    }
+    for name, coupling, exponent, sigma, seed, trials in (
+        ("route_a.json", 0.0, 14.0, 0.0, 1071, 1),
+        ("route_b.json", 0.0, 2.0, 0.1, 1072, 1),
+        ("route_c.json", 0.0, 2.0, 0.1, 11, 5),
+        ("xtalk_5slot.json", 0.0957, 2.0, 0.0, 42, 1),
+        ("xtalk_mixed.json", 0.05644, 2.0, 0.0, 43, 1),
+    )
+}
 
 
 def minimal_doc():
@@ -48,6 +82,84 @@ def test_fixtures_load_and_round_trip(name):
     again = parse_scenario_file(serialize_scenario_file(sf))
     assert again == sf
     assert scenario_hash(again) == scenario_hash(sf)
+
+
+def random_scenario_file(rng):
+    """A valid ScenarioFile with every optional part present or absent at random."""
+    num = lambda lo, hi: round(rng.uniform(lo, hi), rng.choice([0, 2, 9]))  # noqa: E731
+
+    def ripple():
+        return Ripple(num(0.0, 2.0), num(1.0, 80.0), rng.choice([0.0, num(-3.0, 3.0)]))
+
+    def probe():
+        return ProbeConfig(rng.choice(BUILTIN_CATALOG), rng.choice([0.19, num(0.0, 1.0)]))
+
+    channels = tuple(
+        MediaChannel(num(-200.0, 200.0), num(50.0, 150.0)) for _ in range(rng.randint(1, 5))
+    )
+    anchored = rng.random() < 0.5
+    scenario = Scenario(
+        media_channels=channels,
+        filters=tuple(
+            FilterElement(
+                num(-50.0, 50.0),
+                num(20.0, 120.0),
+                order=rng.randint(1, 10),
+                ripple=ripple() if rng.random() < 0.5 else None,
+            )
+            for _ in range(rng.randint(0, 3))
+        ),
+        gsnr_profile=GsnrProfile(
+            num(5.0, 30.0),
+            tilt_db=num(-3.0, 3.0),
+            ripple_components=tuple(ripple() for _ in range(rng.randint(0, 2))),
+            anchor_center=num(-10.0, 10.0) if anchored else None,
+            anchor_width=num(100.0, 400.0) if anchored else None,
+        ),
+        neighbors=tuple(
+            NeighborChannel(
+                SignalSpectrum(num(10.0, 70.0), num(0.0, 1.0), num(-300.0, 300.0)),
+                num(-10.0, 10.0),
+            )
+            for _ in range(rng.randint(0, 2))
+        ),
+        crosstalk_coupling=num(0.0, 1.0),
+        filtering_exponent=num(1.0, 20.0),
+        measurement_noise_sigma_db=num(0.0, 1.0),
+        outage_ber=rng.choice([0.05, round(rng.uniform(1e-3, 0.4), 9)]),
+        seed=rng.randrange(1 << 40),
+        grid=FrequencyGrid(num(-400.0, -300.0), num(300.0, 400.0), rng.choice([0.05, 0.1])),
+    )
+    offsets = None
+    if rng.random() < 0.5:
+        start = num(-40.0, 0.0)
+        offsets = CrosstalkOffsets(start, start + num(0.0, 40.0), num(1.0, 10.0))
+    catalog = tuple(e.name for e in rng.sample(BUILTIN_CATALOG, rng.randint(0, 3)))
+    return ScenarioFile(
+        schema_version=1,
+        scenario=scenario,
+        probes=tuple(probe() for _ in range(rng.randint(1, 3))),
+        sweep_step=rng.choice([6.25, num(1.0, 25.0)]),
+        trials_per_point=rng.randint(1, 9),
+        slot_probes=tuple(probe() for _ in channels) if rng.random() < 0.5 else (),
+        crosstalk_offsets=offsets,
+        recommend_catalog=catalog,
+        recommend_guard_ghz=num(0.0, 10.0) if catalog else 0.0,
+    )
+
+
+def test_random_scenario_files_round_trip():
+    rng = random.Random(20211029)
+    hashes = set()
+    for _ in range(200):
+        sf = random_scenario_file(rng)
+        text = json.dumps(serialize_scenario_file(sf))
+        again = parse_scenario_file(json.loads(text))
+        assert again == sf
+        assert scenario_hash(again) == scenario_hash(sf) == scenario_hash(sf)
+        assert json.dumps(serialize_scenario_file(again)) == text
+        hashes.add(scenario_hash(sf))
+    assert len(hashes) == 200
 
 
 def test_unknown_field_rejected_with_path():
@@ -294,12 +406,13 @@ def test_documented_command_succeeds(command, fixture, tmp_path, capsys):
     argv = [command, "--scenario", str(fixture_path(fixture))]
     if command == "validate":
         assert run_cli(*argv) == 0
-        assert capsys.readouterr().out.startswith("ok ")
+        assert capsys.readouterr().out == f"ok {FIXTURE_HASHES[fixture]}\n"
         return
     out = tmp_path / "report.json"
     assert run_cli(*argv, "--out", str(out)) == 0
     report = _strict_json(out.read_text())
-    assert report["scenario_hash"] and report["config"]
+    assert report["scenario_hash"] == FIXTURE_HASHES[fixture]
+    assert report["config"] == FIXTURE_CONFIGS[fixture]
 
 
 def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
