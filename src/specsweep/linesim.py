@@ -34,6 +34,17 @@ from specsweep.spectral import (
     signal_psd,
 )
 
+# Bounds on carrier centers, neighbor power offsets and read noise, checked
+# when a scenario is built: beyond them the model's arithmetic overflows.
+MAX_CENTER_GHZ = 1e6
+MAX_POWER_OFFSET_DB = 100.0
+MAX_NOISE_SIGMA_DB = 10.0
+
+
+def _check_center(center):
+    if not abs(center) <= MAX_CENTER_GHZ:
+        raise ValueError(f"center must be within +/-{MAX_CENTER_GHZ:g} GHz, got {center}")
+
 
 @dataclass(frozen=True)
 class MediaChannel:
@@ -43,6 +54,7 @@ class MediaChannel:
     width: float
 
     def __post_init__(self):
+        _check_center(self.center)
         if self.width <= 0:
             raise ValueError("media channel width must be > 0")
 
@@ -90,6 +102,14 @@ class NeighborChannel:
     spectrum: SignalSpectrum
     power_offset_db: float = 0.0
 
+    def __post_init__(self):
+        _check_center(self.spectrum.center)
+        if not abs(self.power_offset_db) <= MAX_POWER_OFFSET_DB:
+            raise ValueError(
+                f"power_offset_db must be within +/-{MAX_POWER_OFFSET_DB:g}, "
+                f"got {self.power_offset_db}"
+            )
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -111,8 +131,11 @@ class Scenario:
             raise ValueError("crosstalk_coupling must be >= 0")
         if self.filtering_exponent < 1.0:
             raise ValueError("filtering_exponent must be >= 1")
-        if self.measurement_noise_sigma_db < 0:
-            raise ValueError("measurement_noise_sigma_db must be >= 0")
+        if not 0.0 <= self.measurement_noise_sigma_db <= MAX_NOISE_SIGMA_DB:
+            raise ValueError(
+                f"measurement_noise_sigma_db must be in [0, {MAX_NOISE_SIGMA_DB:g}], "
+                f"got {self.measurement_noise_sigma_db}"
+            )
         if not 0.0 < self.outage_ber < 0.5:
             raise ValueError(f"outage_ber must be in (0, 0.5), got {self.outage_ber}")
 
@@ -264,9 +287,16 @@ def _noiseless_q_db(scenario, carrier, probe):
 
     profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
     g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
-    g_filtered = g_profile * rho ** scenario.filtering_exponent
-    x_t = crosstalk_lin(scenario, spectrum)
-    g_eff = 1.0 / (1.0 / g_filtered + x_t)
+    try:
+        g_filtered = g_profile * rho ** scenario.filtering_exponent
+    except OverflowError:
+        return None  # a ripple gain (rho > 1) to a huge exponent: no finite GSNR
+    if not g_filtered > 0.0:
+        return None  # nothing left after filtering, or the profile underflowed
+    inv_g_eff = 1.0 / g_filtered + crosstalk_lin(scenario, spectrum)
+    if not 0.0 < inv_g_eff < math.inf:
+        return None  # g_eff is not a finite positive GSNR
+    g_eff = 1.0 / inv_g_eff
 
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
     ber = ber_from_snr(probe.entry.format, snr_db)

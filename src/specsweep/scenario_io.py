@@ -89,7 +89,10 @@ def _number(obj, key, path, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ScenarioFormatError(f"{path}.{key}", f"expected a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:
+        raise ScenarioFormatError(f"{path}.{key}", "expected a finite number, got a huge integer")
     if not math.isfinite(val):
         raise ScenarioFormatError(f"{path}.{key}", f"expected a finite number, got {val!r}")
     return val
@@ -344,6 +347,8 @@ def parse_scenario_file(data, path="$"):
                 )
         rec_catalog = tuple(names)
         rec_guard = _number(rec, "guard_ghz", f"{path}.recommend", 0.0)
+        if rec_guard < 0:
+            raise ScenarioFormatError(f"{path}.recommend.guard_ghz", "must be >= 0")
 
     return ScenarioFile(
         schema_version=version,

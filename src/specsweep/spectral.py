@@ -18,6 +18,8 @@ DEFAULT_ROLL_OFF = 0.19
 # Upper bound on integration grid points, checked before the grid is built
 # (8 MB per float array at the bound).
 MAX_GRID_POINTS = 1_000_000
+# Upper bound on a filter's super-Gaussian order, far above any real passband.
+MAX_FILTER_ORDER = 100
 LN2 = np.log(2.0)
 
 
@@ -132,8 +134,8 @@ class FilterElement:
     def __post_init__(self):
         if self.bandwidth_3db <= 0:
             raise ValueError("bandwidth_3db must be > 0")
-        if self.order < 1:
-            raise ValueError("filter order must be >= 1")
+        if not 1 <= self.order <= MAX_FILTER_ORDER:
+            raise ValueError(f"filter order must be in [1, {MAX_FILTER_ORDER}], got {self.order}")
 
 
 def filter_power_response(offset, filt):

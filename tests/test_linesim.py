@@ -136,6 +136,20 @@ def test_measure_outage_when_gsnr_too_low():
     assert res.outage and res.q_db is None
 
 
+def test_measure_outage_when_no_finite_gsnr_remains():
+    """Extreme finite inputs whose GSNR has no finite positive value read as outage."""
+    rippled = (FilterElement(0.0, 79.0, order=10, ripple=Ripple(0.9, 31.25)),)
+    for sc in (
+        flat_scenario(17.0, filters=rippled, filtering_exponent=1e308),  # rho > 1 overflows
+        flat_scenario(17.0, filters=(FilterElement(0.0, 40.0),), filtering_exponent=1e308),
+        flat_scenario(-1e308),  # the profile underflows to 0
+        flat_scenario(17.0, gsnr_profile=GsnrProfile(17.0, tilt_db=1e308)),
+    ):
+        for carrier in (-20.0, 0.0, 20.0):
+            res = measure(sc, carrier, QPSK69)
+            assert res.outage and res.q_db is None
+
+
 def test_measure_rejects_carrier_outside_span():
     with pytest.raises(ValueError):
         measure(flat_scenario(), 51.0, QAM34)
