@@ -96,9 +96,10 @@ def _ber_qam16(snr_lin):
     return (3.0 / 8.0) * math.erfc(math.sqrt(snr_lin / 10.0))
 
 
-def _ber(curve, snr_db):
-    """Scalar BER of one curve at ``snr_db``, clipped to [_BER_FLOOR, 0.5]."""
-    snr_lin = 10.0 ** (snr_db / 10.0)
+def ber_from_snr(fmt, snr_db):
+    """Pre-FEC BER of a format at the in-band SNR ``snr_db``, clipped to [_BER_FLOOR, 0.5]."""
+    snr_lin = 10.0 ** (float(snr_db) / 10.0)
+    curve = fmt.ber_curve
     if curve is BerCurve.QPSK:
         ber = _ber_qpsk(snr_lin)
     elif curve is BerCurve.QAM16:
@@ -108,16 +109,6 @@ def _ber(curve, snr_db):
         # strictly between QPSK and 16QAM at every SNR.
         ber = math.sqrt(_ber_qpsk(snr_lin) * _ber_qam16(snr_lin))
     return min(max(ber, _BER_FLOOR), 0.5)
-
-
-_ber_array = np.vectorize(_ber, otypes=[float])
-
-
-def ber_from_snr(fmt, snr_db):
-    """Pre-FEC BER of a format at the given in-band SNR (dB), scalar or array."""
-    if np.ndim(snr_db) == 0:
-        return _ber(fmt.ber_curve, float(snr_db))
-    return _ber_array(fmt.ber_curve, np.asarray(snr_db, dtype=float))
 
 
 def snr_from_ber(fmt, ber):

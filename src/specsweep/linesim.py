@@ -85,13 +85,9 @@ class GsnrProfile:
     def evaluate(self, f, channel):
         center = self.anchor_center if self.anchor_center is not None else channel.center
         width = self.anchor_width if self.anchor_width is not None else channel.width
-        g = self.base_gsnr_db + self.tilt_db * (np.asarray(f, dtype=float) - center) / width
+        g = self.base_gsnr_db + self.tilt_db * (f - center) / width
         for rip in self.ripple_components:
-            g = g + rip.amplitude_db * np.sin(
-                2.0 * np.pi * np.asarray(f, dtype=float) / rip.period_ghz + rip.phase_rad
-            )
-        if np.ndim(f) == 0:
-            return float(g)
+            g = g + rip.amplitude_db * np.sin(2.0 * np.pi * f / rip.period_ghz + rip.phase_rad)
         return g
 
 

@@ -92,30 +92,26 @@ class SweepResult:
     curves: Tuple[ProbeCurve, ...]
 
 
-def _read_point(session, carrier, probe, trials):
-    """Raw median-Q reading; returns (GsnrSample, median_q or None)."""
+def probe_point(session, carrier, probe, trials=1):
+    """One sweep point: the median Q over ``trials`` reads and the GSNR it implies.
+
+    Inverts the measurement chain: median Q -> BER -> in-band SNR via the
+    probe format's curve -> GSNR in the reference bandwidth. The point is an
+    outage, with no Q, when most trials are.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    carrier = float(carrier)
     session.set_carrier(carrier)
     session.set_probe(probe)
     readings = [session.read_q(trial_index=t) for t in range(trials)]
     n_outage = sum(r.outage for r in readings)
     if 2 * n_outage > trials or n_outage == trials:
-        return GsnrSample(outage=True), None
+        return SweepPoint(carrier, GsnrSample(outage=True))
     q = float(np.median([r.q_db for r in readings if not r.outage]))
     ber = ber_from_q_db(q)
     snr_db = snr_from_ber(probe.entry.format, ber)
-    return GsnrSample(gsnr_db=normalize_gsnr(snr_db, probe.symbol_rate)), q
-
-
-def probe_point(session, carrier, probe, trials=1):
-    """Estimate normalized GSNR at one carrier; outage if most trials fail.
-
-    Inverts the measurement chain: median Q over trials -> BER -> in-band
-    SNR via the probe format's curve -> GSNR in the reference bandwidth.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sample, _ = _read_point(session, carrier, probe, trials)
-    return sample
+    return SweepPoint(carrier, GsnrSample(gsnr_db=normalize_gsnr(snr_db, probe.symbol_rate)), q)
 
 
 def run_sweep(session, plan):
@@ -127,14 +123,13 @@ def run_sweep(session, plan):
     if not plan.probes:
         raise ConfigurationError("sweep plan has no probes")
     carriers = plan.carriers()
-    curves = []
-    for probe in plan.probes:
-        points = []
-        for carrier in carriers:
-            sample, q = _read_point(session, carrier, probe, plan.trials_per_point)
-            points.append(SweepPoint(float(carrier), sample, q))
-        curves.append(ProbeCurve(probe, tuple(points)))
-    return SweepResult(plan.slot, plan.step, tuple(curves))
+    curves = tuple(
+        ProbeCurve(
+            probe, tuple(probe_point(session, c, probe, plan.trials_per_point) for c in carriers)
+        )
+        for probe in plan.probes
+    )
+    return SweepResult(plan.slot, plan.step, curves)
 
 
 @dataclass(frozen=True)
@@ -179,13 +174,13 @@ def crosstalk_scan(bench, offsets, trials=1):
         probe = bench.probe_for(idx)
         baseline = probe_point(
             bench.session(idx, 0.0), bench.victim_carrier(idx, 0.0), probe, trials
-        )
+        ).sample
         samples = []
         penalties = []
         for off in offsets:
             sample = probe_point(
                 bench.session(idx, off), bench.victim_carrier(idx, off), probe, trials
-            )
+            ).sample
             samples.append(sample)
             if sample.outage or baseline.outage:
                 penalties.append(None)

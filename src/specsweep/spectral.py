@@ -90,7 +90,7 @@ def signal_psd(offset, spectrum):
     """
     sr = spectrum.symbol_rate
     r = spectrum.roll_off
-    f = np.abs(np.asarray(offset, dtype=float))
+    f = np.abs(offset)
     inner = (1.0 - r) * sr / 2.0
     outer = (1.0 + r) * sr / 2.0
     out = np.zeros_like(f)
@@ -98,8 +98,6 @@ def signal_psd(offset, spectrum):
     if r > 0:
         edge = (f > inner) & (f < outer)
         out[edge] = np.cos(np.pi * (f[edge] - inner) / (2.0 * r * sr)) ** 2 / sr
-    if np.ndim(offset) == 0:
-        return float(out)
     return out
 
 
@@ -140,25 +138,20 @@ class FilterElement:
 
 def filter_power_response(offset, filt):
     """Super-Gaussian power transmission, times the ripple term if present."""
-    f = np.asarray(offset, dtype=float)
-    resp = np.exp(-LN2 * np.abs(2.0 * f / filt.bandwidth_3db) ** (2 * filt.order))
+    resp = np.exp(-LN2 * np.abs(2.0 * offset / filt.bandwidth_3db) ** (2 * filt.order))
     if filt.ripple is not None:
         rip = filt.ripple
         resp = resp * 10.0 ** (
-            rip.amplitude_db * np.sin(2.0 * np.pi * f / rip.period_ghz + rip.phase_rad) / 10.0
+            rip.amplitude_db * np.sin(2.0 * np.pi * offset / rip.period_ghz + rip.phase_rad) / 10.0
         )
-    if np.ndim(offset) == 0:
-        return float(resp)
     return resp
 
 
 def cascade_power_response(filters, f):
-    """Product of the filters' power responses at absolute frequency ``f``."""
-    resp = np.ones_like(np.asarray(f, dtype=float))
+    """Product of the filters' power responses at the absolute frequencies ``f``."""
+    resp = np.ones_like(f)
     for filt in filters:
-        resp = resp * filter_power_response(np.asarray(f, dtype=float) - filt.center, filt)
-    if np.ndim(f) == 0:
-        return float(resp)
+        resp = resp * filter_power_response(f - filt.center, filt)
     return resp
 
 

@@ -57,18 +57,18 @@ def flat_scenario(base=17.0, **kwargs):
 
 def test_local_gsnr_profile():
     sc = flat_scenario(17.0)
-    assert local_gsnr_db(sc, 33.0) == 17.0
+    assert local_gsnr_db(sc, np.array([33.0])).tolist() == [17.0]
     tilted = flat_scenario(
         17.0,
         media_channels=(MediaChannel(0.0, 400.0),),
         gsnr_profile=GsnrProfile(17.0, tilt_db=2.5),
     )
-    assert local_gsnr_db(tilted, 200.0) == pytest.approx(17.0 + 1.25)
+    assert local_gsnr_db(tilted, np.array([200.0]))[0] == pytest.approx(17.0 + 1.25)
     rippled = flat_scenario(
         17.0,
         gsnr_profile=GsnrProfile(17.0, ripple_components=(Ripple(0.5, 40.0),)),
     )
-    assert local_gsnr_db(rippled, 10.0) == pytest.approx(17.5)  # sin peak at P/4
+    assert local_gsnr_db(rippled, np.array([10.0]))[0] == pytest.approx(17.5)  # sin peak at P/4
 
 
 def test_filtering_penalty_empty_cascade():

@@ -37,13 +37,14 @@ def flat_scenario(base=17.0, width=100.0, sigma=0.0, seed=5, **kwargs):
 def test_probe_point_inverts_measure():
     session = open_session(flat_scenario(17.0))
     for probe in PROBES_200G:
-        sample = probe_point(session, 0.0, probe)
+        sample = probe_point(session, 0.0, probe).sample
         assert sample.gsnr_db == pytest.approx(17.0, abs=0.01)
 
 
 def test_probe_point_outage_propagates():
     session = open_session(flat_scenario(3.0))
-    assert probe_point(session, 0.0, QAM34).outage
+    point = probe_point(session, 0.0, QAM34)
+    assert point.sample.outage and point.q_db is None
 
 
 def test_probe_point_median_suppresses_noise():
@@ -57,8 +58,8 @@ def test_probe_point_median_suppresses_noise():
     seeds = range(300)
     for seed in seeds:
         session = open_session(flat_scenario(17.0, sigma=0.1, seed=seed))
-        sample5 = probe_point(session, 0.0, QPSK69, trials=5)
-        sample1 = probe_point(session, 0.0, QPSK69, trials=1)
+        sample5 = probe_point(session, 0.0, QPSK69, trials=5).sample
+        sample1 = probe_point(session, 0.0, QPSK69, trials=1).sample
         err5 += abs(sample5.gsnr_db - 17.0)
         err1 += abs(sample1.gsnr_db - 17.0)
         if abs(sample5.gsnr_db - 17.0) <= 0.15:

@@ -34,12 +34,15 @@ def test_occupied_width_rejects_bad_inputs():
 
 def test_psd_plateau_and_support():
     spec = SignalSpectrum(34.0, 0.19)
-    assert signal_psd(0.0, spec) == pytest.approx(1.0 / 34.0)
+    center, half, beyond, edge = signal_psd(
+        np.array([0.0, 17.0, 0.60 * 34.0, spec.occupied_width / 2.0]), spec
+    )
+    assert center == pytest.approx(1.0 / 34.0)
     # Half the plateau at the symmetry point f = SR/2.
-    assert signal_psd(17.0, spec) == pytest.approx(0.5 / 34.0)
+    assert half == pytest.approx(0.5 / 34.0)
     # Exactly zero beyond the occupied half-width.
-    assert signal_psd(0.60 * 34.0, spec) == 0.0
-    assert signal_psd(spec.occupied_width / 2.0, spec) == 0.0
+    assert beyond == 0.0
+    assert edge == 0.0
 
 
 @pytest.mark.parametrize("sr", [34.0, 46.0, 52.0, 69.0])
@@ -61,18 +64,21 @@ def test_psd_is_even():
 
 def test_filter_response_center_and_3db():
     filt = FilterElement(0.0, 50.0, order=3)
-    assert filter_power_response(0.0, filt) == pytest.approx(1.0)
-    resp_db = 10 * np.log10(filter_power_response(25.0, filt))
-    assert resp_db == pytest.approx(-3.01, abs=0.01)
+    center, edge = filter_power_response(np.array([0.0, 25.0]), filt)
+    assert center == pytest.approx(1.0)
+    assert 10 * np.log10(edge) == pytest.approx(-3.01, abs=0.01)
 
 
 def test_filter_response_gaussian_tail():
     # Gaussian (order 1): exp(-ln2 * (2f/B)^2) = exp(-4 ln2) at f = B.
+    at_b = np.array([50.0])
     filt = FilterElement(0.0, 50.0, order=1)
-    assert filter_power_response(50.0, filt) == pytest.approx(np.exp(-4 * np.log(2)), rel=1e-9)
+    assert filter_power_response(at_b, filt)[0] == pytest.approx(np.exp(-4 * np.log(2)), rel=1e-9)
     # Order 2 at f = B reaches exp(-16 ln2).
     filt2 = FilterElement(0.0, 50.0, order=2)
-    assert filter_power_response(50.0, filt2) == pytest.approx(np.exp(-16 * np.log(2)), rel=1e-9)
+    assert filter_power_response(at_b, filt2)[0] == pytest.approx(
+        np.exp(-16 * np.log(2)), rel=1e-9
+    )
 
 
 def test_filter_response_even():
@@ -87,13 +93,14 @@ def test_filter_response_even():
 def test_filter_ripple_term():
     # Sinusoidal ripple in dB on top of the super-Gaussian envelope.
     filt = FilterElement(0.0, 1000.0, order=6, ripple=Ripple(0.5, 40.0, np.pi / 2))
-    assert 10 * np.log10(filter_power_response(0.0, filt)) == pytest.approx(0.5, abs=1e-3)
-    assert 10 * np.log10(filter_power_response(20.0, filt)) == pytest.approx(-0.5, abs=1e-3)
+    peak, trough = 10 * np.log10(filter_power_response(np.array([0.0, 20.0]), filt))
+    assert peak == pytest.approx(0.5, abs=1e-3)
+    assert trough == pytest.approx(-0.5, abs=1e-3)
 
 
 def test_cascade_identity_and_product_law():
     f = np.linspace(-40, 40, 201)
-    assert cascade_power_response((), 10.0) == 1.0
+    assert cascade_power_response((), f).tolist() == [1.0] * len(f)
     filt = FilterElement(0.0, 50.0, order=2)
     single = cascade_power_response((filt,), f)
     double = cascade_power_response((filt, filt), f)
@@ -104,7 +111,7 @@ def _cascade_3db_width(filters):
     """Independent bisection oracle for the cascade's 3-dB full width."""
 
     def response(f):
-        return cascade_power_response(filters, f)
+        return cascade_power_response(filters, np.array([f]))[0]
 
     lo, hi = 0.0, 200.0
     while hi - lo > 1e-6:
