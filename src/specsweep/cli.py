@@ -25,6 +25,7 @@ from specsweep.scenario_io import (
     crosstalk_result_dict,
     diagnosis_report_dict,
     load_scenario,
+    report_config,
     scenario_hash,
     sweep_result_csv,
     sweep_result_dict,
@@ -59,29 +60,11 @@ def _load(args):
     return sf
 
 
-def _scenario_config(sf):
-    sc = sf.scenario
-    return {
-        "crosstalk_coupling": sc.crosstalk_coupling,
-        "filtering_exponent": sc.filtering_exponent,
-        "measurement_noise_sigma_db": sc.measurement_noise_sigma_db,
-        "outage_ber": sc.outage_ber,
-        "seed": sc.seed,
-        "grid": {
-            "start": sc.grid.start,
-            "stop": sc.grid.stop,
-            "resolution": sc.grid.resolution,
-        },
-        "sweep_step": sf.sweep_step,
-        "trials_per_point": sf.trials_per_point,
-    }
-
-
 def _report_envelope(sf, body):
     return {
         "tool_version": _tool_version(),
         "scenario_hash": scenario_hash(sf),
-        "config": _scenario_config(sf),
+        "config": report_config(sf),
         **body,
     }
 

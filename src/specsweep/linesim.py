@@ -110,8 +110,8 @@ class NeighborChannel:
 @dataclass(frozen=True)
 class Scenario:
     media_channels: Tuple[MediaChannel, ...]
-    filters: Tuple[FilterElement, ...]
     gsnr_profile: GsnrProfile
+    filters: Tuple[FilterElement, ...] = ()
     neighbors: Tuple[NeighborChannel, ...] = ()
     crosstalk_coupling: float = 1.0
     filtering_exponent: float = 2.0

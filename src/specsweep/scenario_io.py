@@ -1,39 +1,38 @@
 """Scenario/report file formats: strict JSON schema v1, hashing, CSV export.
 
-The schema rejects unknown fields and reports errors with a dotted field
-path (e.g. ``scenario.filters[0].order``) so fixture typos fail loudly.
+The domain dataclasses declare the schema. A JSON object's keys are the
+fields of its class, the annotations give their types, and a field without
+a default is required (a required list must not be empty). ``_parse`` and
+``_dump`` walk those fields; hand-written code is left only where the file
+and the model differ: the file's top level with its sweep and recommend
+sections, flat neighbor channels and catalog entries given by name. Unknown
+fields are rejected, and errors carry a dotted field path (e.g.
+``scenario.filters[0].order``) so fixture typos fail loudly.
 """
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
+import typing
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from specsweep.errors import ScenarioFormatError
-from specsweep.formats import catalog_entry
-from specsweep.linesim import (
-    GsnrProfile,
-    MediaChannel,
-    NeighborChannel,
-    ProbeConfig,
-    Scenario,
-)
+from specsweep.formats import CatalogEntry, catalog_entry
+from specsweep.linesim import NeighborChannel, ProbeConfig, Scenario
 from specsweep.probe import SweepPlan
-from specsweep.spectral import (
-    DEFAULT_ROLL_OFF,
-    FilterElement,
-    FrequencyGrid,
-    Ripple,
-    SignalSpectrum,
-)
+from specsweep.spectral import SignalSpectrum
 
 SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
 # the offsets are generated.
 MAX_CROSSTALK_OFFSETS = 10_000
+# Scenario fields that lay out the line; the report config lists the others.
+_LAYOUT_FIELDS = ("media_channels", "filters", "gsnr_profile", "neighbors")
 
 
 @dataclass(frozen=True)
@@ -60,307 +59,154 @@ class ScenarioFile:
     schema_version: int
     scenario: Scenario
     probes: Tuple[ProbeConfig, ...]
-    sweep_step: float = 6.25
-    trials_per_point: int = 1
+    sweep_step: float
+    trials_per_point: int
     slot_probes: Tuple[ProbeConfig, ...] = ()
     crosstalk_offsets: Optional[CrosstalkOffsets] = None
     recommend_catalog: Tuple[str, ...] = ()
     recommend_guard_ghz: float = 0.0
 
 
-def _require_mapping(obj, path):
+def _check_keys(obj, path, allowed, required=()):
     if not isinstance(obj, dict):
         raise ScenarioFormatError(path, f"expected an object, got {type(obj).__name__}")
-
-
-def _check_fields(obj, path, required, optional=()):
-    _require_mapping(obj, path)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in allowed:
             raise ScenarioFormatError(f"{path}.{key}", "unknown field")
     for key in required:
         if key not in obj:
             raise ScenarioFormatError(f"{path}.{key}", "missing required field")
 
 
-def _number(obj, key, path, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
+def _float(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioFormatError(f"{path}.{key}", f"expected a number, got {val!r}")
+        raise ScenarioFormatError(path, f"expected a number, got {val!r}")
     try:
         val = float(val)
     except OverflowError:
-        raise ScenarioFormatError(f"{path}.{key}", "expected a finite number, got a huge integer")
+        raise ScenarioFormatError(path, "expected a finite number, got a huge integer") from None
     if not math.isfinite(val):
-        raise ScenarioFormatError(f"{path}.{key}", f"expected a finite number, got {val!r}")
+        raise ScenarioFormatError(path, f"expected a finite number, got {val!r}")
     return val
 
 
-def _integer(obj, key, path, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
+def _int(val, path):
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ScenarioFormatError(f"{path}.{key}", f"expected an integer, got {val!r}")
+        raise ScenarioFormatError(path, f"expected an integer, got {val!r}")
     return val
 
 
-def _string(obj, key, path, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if not isinstance(val, str):
-        raise ScenarioFormatError(f"{path}.{key}", f"expected a string, got {val!r}")
-    return val
-
-
-def _build(cls, path, **kwargs):
-    """Construct a domain object, converting its ValueError into a schema error."""
+def _catalog_entry(name, path):
+    if not isinstance(name, str):
+        raise ScenarioFormatError(path, f"expected a string, got {name!r}")
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
+        return catalog_entry(name)
+    except KeyError:
+        raise ScenarioFormatError(path, f"unknown catalog entry {name!r}") from None
+
+
+def _neighbor(obj, path):
+    """A neighbor is flat in the file: its spectrum's fields beside power_offset_db."""
+    # Any key passes here: unknown ones fail in the spectrum's parse.
+    _check_keys(obj, path, allowed=obj, required=("center",))
+    spectrum = {k: v for k, v in obj.items() if k != "power_offset_db"}
+    offset = {k: v for k, v in obj.items() if k == "power_offset_db"}
+    return _parse(NeighborChannel, offset, path, spectrum=_parse(SignalSpectrum, spectrum, path))
+
+
+_LEAVES = {float: _float, int: _int, CatalogEntry: _catalog_entry, NeighborChannel: _neighbor}
+
+
+def _converter(tp):
+    """Function (JSON value, path) -> value of the field type ``tp``."""
+    if tp in _LEAVES:
+        return _LEAVES[tp]
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # Tuple[X, ...]
+        item = _converter(args[0])
+
+        def convert(val, path):
+            if not isinstance(val, list):
+                raise ScenarioFormatError(path, "expected a list")
+            return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(val))
+
+        return convert
+    if type(None) in args:  # Optional[X]: the key is absent when the value is None
+        return _converter(args[0])
+    return functools.partial(_parse, tp)
+
+
+_CATALOG_NAMES = _converter(Tuple[CatalogEntry, ...])
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls):
+    """Per field of ``cls``: its converter and whether the file must carry it."""
+    return {
+        f.name: (_converter(f.type), f.default is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _parse(cls, obj, path, **given):
+    """Build ``cls`` from a JSON object keyed by its fields; ``given`` ones are not in the file."""
+    fields = _fields(cls)
+    _check_keys(obj, path, fields.keys() - given.keys())
+    for name, (convert, required) in fields.items():
+        if name in obj:
+            value = given[name] = convert(obj[name], f"{path}.{name}")
+            if required and value == ():
+                raise ScenarioFormatError(f"{path}.{name}", "must not be empty")
+        elif required and name not in given:
+            raise ScenarioFormatError(f"{path}.{name}", "missing required field")
+    try:
+        return cls(**given)
+    except ValueError as exc:  # the class's own checks fail at the object's path
         raise ScenarioFormatError(path, str(exc)) from exc
 
 
-def _parse_grid(obj, path):
-    _check_fields(obj, path, ("start", "stop"), ("resolution",))
-    return _build(
-        FrequencyGrid,
-        path,
-        start=_number(obj, "start", path),
-        stop=_number(obj, "stop", path),
-        resolution=_number(obj, "resolution", path, 0.05),
-    )
-
-
-def _parse_ripple(obj, path):
-    _check_fields(obj, path, ("amplitude_db", "period_ghz"), ("phase_rad",))
-    return _build(
-        Ripple,
-        path,
-        amplitude_db=_number(obj, "amplitude_db", path),
-        period_ghz=_number(obj, "period_ghz", path),
-        phase_rad=_number(obj, "phase_rad", path, 0.0),
-    )
-
-
-def _parse_filter(obj, path):
-    _check_fields(obj, path, ("center", "bandwidth_3db"), ("order", "ripple"))
-    ripple = None
-    if "ripple" in obj:
-        ripple = _parse_ripple(obj["ripple"], f"{path}.ripple")
-    return _build(
-        FilterElement,
-        path,
-        center=_number(obj, "center", path),
-        bandwidth_3db=_number(obj, "bandwidth_3db", path),
-        order=_integer(obj, "order", path, 1),
-        ripple=ripple,
-    )
-
-
-def _parse_profile(obj, path):
-    _check_fields(
-        obj,
-        path,
-        ("base_gsnr_db",),
-        ("tilt_db", "ripple_components", "anchor_center", "anchor_width"),
-    )
-    components = obj.get("ripple_components", [])
-    if not isinstance(components, list):
-        raise ScenarioFormatError(f"{path}.ripple_components", "expected a list")
-    ripple = tuple(
-        _parse_ripple(c, f"{path}.ripple_components[{i}]")
-        for i, c in enumerate(components)
-    )
-    return _build(
-        GsnrProfile,
-        path,
-        base_gsnr_db=_number(obj, "base_gsnr_db", path),
-        tilt_db=_number(obj, "tilt_db", path, 0.0),
-        ripple_components=ripple,
-        anchor_center=_number(obj, "anchor_center", path),
-        anchor_width=_number(obj, "anchor_width", path),
-    )
-
-
-def _parse_media_channel(obj, path):
-    _check_fields(obj, path, ("center", "width"))
-    return _build(
-        MediaChannel,
-        path,
-        center=_number(obj, "center", path),
-        width=_number(obj, "width", path),
-    )
-
-
-def _parse_neighbor(obj, path):
-    _check_fields(obj, path, ("symbol_rate", "center"), ("roll_off", "power_offset_db"))
-    spectrum = _build(
-        SignalSpectrum,
-        path,
-        symbol_rate=_number(obj, "symbol_rate", path),
-        roll_off=_number(obj, "roll_off", path, DEFAULT_ROLL_OFF),
-        center=_number(obj, "center", path),
-    )
-    return NeighborChannel(spectrum, _number(obj, "power_offset_db", path, 0.0))
-
-
-def _parse_list(obj, key, path, parser, required=False):
-    if key not in obj:
-        if required:
-            raise ScenarioFormatError(f"{path}.{key}", "missing required field")
-        return ()
-    val = obj[key]
-    if not isinstance(val, list):
-        raise ScenarioFormatError(f"{path}.{key}", "expected a list")
-    return tuple(parser(item, f"{path}.{key}[{i}]") for i, item in enumerate(val))
-
-
-def _parse_scenario(obj, path):
-    _check_fields(
-        obj,
-        path,
-        ("media_channels", "gsnr_profile"),
-        (
-            "filters",
-            "neighbors",
-            "crosstalk_coupling",
-            "filtering_exponent",
-            "measurement_noise_sigma_db",
-            "outage_ber",
-            "seed",
-            "grid",
-        ),
-    )
-    channels = _parse_list(obj, "media_channels", path, _parse_media_channel, required=True)
-    if not channels:
-        raise ScenarioFormatError(f"{path}.media_channels", "must not be empty")
-    grid = (
-        _parse_grid(obj["grid"], f"{path}.grid")
-        if "grid" in obj
-        else FrequencyGrid(-300.0, 300.0)
-    )
-    return _build(
-        Scenario,
-        path,
-        media_channels=channels,
-        filters=_parse_list(obj, "filters", path, _parse_filter),
-        gsnr_profile=_parse_profile(obj["gsnr_profile"], f"{path}.gsnr_profile"),
-        neighbors=_parse_list(obj, "neighbors", path, _parse_neighbor),
-        crosstalk_coupling=_number(obj, "crosstalk_coupling", path, 1.0),
-        filtering_exponent=_number(obj, "filtering_exponent", path, 2.0),
-        measurement_noise_sigma_db=_number(obj, "measurement_noise_sigma_db", path, 0.1),
-        outage_ber=_number(obj, "outage_ber", path, 5e-2),
-        seed=_integer(obj, "seed", path, 0),
-        grid=grid,
-    )
-
-
-def _parse_probe(obj, path):
-    _check_fields(obj, path, ("entry",), ("roll_off",))
-    name = _string(obj, "entry", path)
-    try:
-        entry = catalog_entry(name)
-    except KeyError:
-        raise ScenarioFormatError(f"{path}.entry", f"unknown catalog entry {name!r}")
-    return _build(
-        ProbeConfig,
-        path,
-        entry=entry,
-        roll_off=_number(obj, "roll_off", path, DEFAULT_ROLL_OFF),
-    )
-
-
-def _parse_offsets(obj, path):
-    _check_fields(obj, path, ("start", "stop", "step"))
-    return _build(
-        CrosstalkOffsets,
-        path,
-        start=_number(obj, "start", path),
-        stop=_number(obj, "stop", path),
-        step=_number(obj, "step", path),
-    )
-
-
 def parse_scenario_file(data, path="$"):
-    """Validate an already-decoded JSON document into a ScenarioFile."""
-    _check_fields(
-        data,
-        path,
-        ("schema_version", "scenario", "probes"),
-        ("sweep", "slot_probes", "crosstalk_offsets", "recommend"),
-    )
-    version = _integer(data, "schema_version", path)
+    """Validate an already-decoded JSON document into a ScenarioFile.
+
+    Its top level is not a ScenarioFile: the sweep and recommend sections
+    group the sweep_* and recommend_* fields, and the sweep is checked as
+    a SweepPlan over the first media channel.
+    """
+    sections = ("schema_version", "scenario", "probes", "sweep", "slot_probes")
+    _check_keys(data, path, (*sections, "crosstalk_offsets", "recommend"), sections[:3])
+    fields = _fields(ScenarioFile)
+    version = _int(data["schema_version"], f"{path}.schema_version")
     if version != SCHEMA_VERSION:
-        raise ScenarioFormatError(
-            f"{path}.schema_version", f"unsupported version {version}"
-        )
-    scenario = _parse_scenario(data["scenario"], f"{path}.scenario")
-    probes = _parse_list(data, "probes", path, _parse_probe, required=True)
+        raise ScenarioFormatError(f"{path}.schema_version", f"unsupported version {version}")
+    scenario = _parse(Scenario, data["scenario"], f"{path}.scenario")
+    probes = fields["probes"][0](data["probes"], f"{path}.probes")
     if not probes:
         raise ScenarioFormatError(f"{path}.probes", "must not be empty")
+    slot = scenario.media_channels[0]
+    plan = _parse(SweepPlan, data.get("sweep", {}), f"{path}.sweep", slot=slot, probes=probes)
 
-    step, trials = 6.25, 1
-    if "sweep" in data:
-        sweep = data["sweep"]
-        _check_fields(sweep, f"{path}.sweep", (), ("step", "trials_per_point"))
-        step = _number(sweep, "step", f"{path}.sweep", 6.25)
-        trials = _integer(sweep, "trials_per_point", f"{path}.sweep", 1)
-    # Validates step, trials and the carrier count against the swept slot.
-    _build(
-        SweepPlan,
-        f"{path}.sweep",
-        slot=scenario.media_channels[0],
-        probes=probes,
-        step=step,
-        trials_per_point=trials,
-    )
-
-    slot_probes = _parse_list(data, "slot_probes", path, _parse_probe)
-    if slot_probes and len(slot_probes) != len(scenario.media_channels):
+    optional = {}
+    for key in ("slot_probes", "crosstalk_offsets"):
+        if key in data:
+            optional[key] = fields[key][0](data[key], f"{path}.{key}")
+    n_slots = len(scenario.media_channels)
+    if optional.get("slot_probes") and len(optional["slot_probes"]) != n_slots:
         raise ScenarioFormatError(
             f"{path}.slot_probes",
-            f"need one probe per media channel "
-            f"({len(scenario.media_channels)}), got {len(slot_probes)}",
+            f"need one probe per media channel ({n_slots}), got {len(optional['slot_probes'])}",
         )
-
-    offsets = None
-    if "crosstalk_offsets" in data:
-        offsets = _parse_offsets(data["crosstalk_offsets"], f"{path}.crosstalk_offsets")
-
-    rec_catalog, rec_guard = (), 0.0
     if "recommend" in data:
-        rec = data["recommend"]
-        _check_fields(rec, f"{path}.recommend", ("catalog",), ("guard_ghz",))
-        names = rec["catalog"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ScenarioFormatError(f"{path}.recommend.catalog", "expected a list of strings")
-        for i, name in enumerate(names):
-            try:
-                catalog_entry(name)
-            except KeyError:
-                raise ScenarioFormatError(
-                    f"{path}.recommend.catalog[{i}]", f"unknown catalog entry {name!r}"
-                )
-        rec_catalog = tuple(names)
-        rec_guard = _number(rec, "guard_ghz", f"{path}.recommend", 0.0)
-        if rec_guard < 0:
-            raise ScenarioFormatError(f"{path}.recommend.guard_ghz", "must be >= 0")
+        rec, rec_path = data["recommend"], f"{path}.recommend"
+        _check_keys(rec, rec_path, ("catalog", "guard_ghz"), ("catalog",))
+        entries = _CATALOG_NAMES(rec["catalog"], f"{rec_path}.catalog")
+        optional["recommend_catalog"] = tuple(entry.name for entry in entries)
+        if "guard_ghz" in rec:
+            guard = _float(rec["guard_ghz"], f"{rec_path}.guard_ghz")
+            if guard < 0:
+                raise ScenarioFormatError(f"{rec_path}.guard_ghz", "must be >= 0")
+            optional["recommend_guard_ghz"] = guard
 
-    return ScenarioFile(
-        schema_version=version,
-        scenario=scenario,
-        probes=probes,
-        sweep_step=step,
-        trials_per_point=trials,
-        slot_probes=slot_probes,
-        crosstalk_offsets=offsets,
-        recommend_catalog=rec_catalog,
-        recommend_guard_ghz=rec_guard,
-    )
+    return ScenarioFile(version, scenario, probes, plan.step, plan.trials_per_point, **optional)
 
 
 def load_scenario(path):
@@ -373,76 +219,32 @@ def load_scenario(path):
     return parse_scenario_file(data)
 
 
-def _ripple_dict(rip):
-    return {
-        "amplitude_db": rip.amplitude_db,
-        "period_ghz": rip.period_ghz,
-        "phase_rad": rip.phase_rad,
-    }
-
-
-def _probe_dict(probe):
-    return {"entry": probe.entry.name, "roll_off": probe.roll_off}
+def _dump(obj):
+    """Inverse of ``_parse``: a domain object as plain JSON data, None fields left out."""
+    if isinstance(obj, (float, int)):
+        return obj
+    if isinstance(obj, tuple):
+        return [_dump(item) for item in obj]
+    if isinstance(obj, CatalogEntry):
+        return obj.name
+    if isinstance(obj, NeighborChannel):
+        return {**_dump(obj.spectrum), "power_offset_db": obj.power_offset_db}
+    values = ((name, getattr(obj, name)) for name in _fields(type(obj)))
+    return {name: _dump(val) for name, val in values if val is not None}
 
 
 def serialize_scenario_file(sf):
     """ScenarioFile -> plain JSON-compatible dict (round-trips via parse)."""
-    sc = sf.scenario
-    profile = {
-        "base_gsnr_db": sc.gsnr_profile.base_gsnr_db,
-        "tilt_db": sc.gsnr_profile.tilt_db,
-        "ripple_components": [_ripple_dict(r) for r in sc.gsnr_profile.ripple_components],
-    }
-    if sc.gsnr_profile.anchor_center is not None:
-        profile["anchor_center"] = sc.gsnr_profile.anchor_center
-    if sc.gsnr_profile.anchor_width is not None:
-        profile["anchor_width"] = sc.gsnr_profile.anchor_width
-
-    scenario = {
-        "media_channels": [
-            {"center": mc.center, "width": mc.width} for mc in sc.media_channels
-        ],
-        "filters": [
-            {
-                "center": f.center,
-                "bandwidth_3db": f.bandwidth_3db,
-                "order": f.order,
-                **({"ripple": _ripple_dict(f.ripple)} if f.ripple else {}),
-            }
-            for f in sc.filters
-        ],
-        "gsnr_profile": profile,
-        "neighbors": [
-            {
-                "symbol_rate": nb.spectrum.symbol_rate,
-                "roll_off": nb.spectrum.roll_off,
-                "center": nb.spectrum.center,
-                "power_offset_db": nb.power_offset_db,
-            }
-            for nb in sc.neighbors
-        ],
-        "crosstalk_coupling": sc.crosstalk_coupling,
-        "filtering_exponent": sc.filtering_exponent,
-        "measurement_noise_sigma_db": sc.measurement_noise_sigma_db,
-        "outage_ber": sc.outage_ber,
-        "seed": sc.seed,
-        "grid": {
-            "start": sc.grid.start,
-            "stop": sc.grid.stop,
-            "resolution": sc.grid.resolution,
-        },
-    }
     out = {
         "schema_version": sf.schema_version,
-        "scenario": scenario,
-        "probes": [_probe_dict(p) for p in sf.probes],
+        "scenario": _dump(sf.scenario),
+        "probes": _dump(sf.probes),
         "sweep": {"step": sf.sweep_step, "trials_per_point": sf.trials_per_point},
     }
     if sf.slot_probes:
-        out["slot_probes"] = [_probe_dict(p) for p in sf.slot_probes]
+        out["slot_probes"] = _dump(sf.slot_probes)
     if sf.crosstalk_offsets is not None:
-        off = sf.crosstalk_offsets
-        out["crosstalk_offsets"] = {"start": off.start, "stop": off.stop, "step": off.step}
+        out["crosstalk_offsets"] = _dump(sf.crosstalk_offsets)
     if sf.recommend_catalog:
         out["recommend"] = {
             "catalog": list(sf.recommend_catalog),
@@ -455,6 +257,12 @@ def scenario_hash(sf):
     """Stable content hash of a scenario file (hex, 16 chars)."""
     canonical = json.dumps(serialize_scenario_file(sf), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def report_config(sf):
+    """A report's ``config``: the scenario's settings other than its layout, and the sweep."""
+    config = {k: v for k, v in _dump(sf.scenario).items() if k not in _LAYOUT_FIELDS}
+    return {**config, "sweep_step": sf.sweep_step, "trials_per_point": sf.trials_per_point}
 
 
 def write_text_atomic(path, text):
