@@ -196,9 +196,14 @@ def local_gsnr_db(scenario, f):
 def _occupied_slice(grid, spectrum):
     """Grid indices covering the signal's occupied band, one more point each side."""
     half = spectrum.occupied_width / 2.0
-    lo = math.floor((spectrum.center - half - grid.start) / grid.resolution) - 1
-    hi = math.ceil((spectrum.center + half - grid.start) / grid.resolution) + 1
-    return slice(max(lo, 0), max(min(hi + 1, grid.npoints), 0))
+    n = grid.npoints
+
+    def index(freq):  # clamped just off the grid: far off it, the index overflows an int
+        return min(max((freq - grid.start) / grid.resolution, -2.0), n + 2.0)
+
+    lo = math.floor(index(spectrum.center - half)) - 1
+    hi = math.ceil(index(spectrum.center + half)) + 1
+    return slice(max(lo, 0), max(min(hi + 1, n), 0))
 
 
 def _filtered_psd(scenario, spectrum):

@@ -345,3 +345,8 @@ def test_signal_off_the_grid_still_raises():
             measure(sc, carrier, QPSK69)
     with pytest.raises(ConfigurationError):
         _filtered_psd(sc, SignalSpectrum(69.0, 0.19, -300.0))
+    # So far off a fine grid that the grid index of the band overflows a float.
+    tiny = flat_scenario(grid=FrequencyGrid(0.0, 1e-300, 1e-305))
+    for center in (1e6, -1e6):
+        with pytest.raises(ConfigurationError):
+            _filtered_psd(tiny, SignalSpectrum(69.0, 0.19, center))
