@@ -189,7 +189,7 @@ def _cascade_on_grid(filters, grid):
 
 
 def local_gsnr_db(scenario, f):
-    """Underlying GSNR profile at absolute frequency ``f`` (extrapolates)."""
+    """Underlying GSNR profile at the absolute frequencies ``f`` (extrapolates)."""
     return scenario.gsnr_profile.evaluate(f, scenario.media_channels[0])
 
 
