@@ -1,5 +1,6 @@
 """Scenario file format and CLI tests."""
 
+import hashlib
 import json
 import math
 import os
@@ -34,6 +35,10 @@ FIXTURE_COMMANDS = (
     + [("crosstalk", f) for f in FIXTURES if f.startswith("xtalk")]
     + [("validate", f) for f in FIXTURES]
 )
+# The commands whose points also have a CSV form.
+CSV_COMMANDS = [("sweep", f) for f in FIXTURES] + [
+    ("crosstalk", f) for f in FIXTURES if f.startswith("xtalk")
+]
 # Golden scenario hashes and report configs of the bundled fixtures.
 FIXTURE_HASHES = {
     "route_a.json": "6ab1cac8e70aeeed",
@@ -61,6 +66,32 @@ FIXTURE_CONFIGS = {
         ("xtalk_5slot.json", 0.0957, 2.0, 0.0, 42, 1),
         ("xtalk_mixed.json", 0.05644, 2.0, 0.0, 43, 1),
     )
+}
+# Golden outputs of the fixture commands: report_digest of each JSON report
+# and sha256 of each raw CSV text. Any change of report content shows here.
+REPORT_DIGESTS = {
+    ("sweep", "route_a.json"): "b825a51d073be5db3736c0378bc4356f0c4dcf339dbf1969f489ad02e200004a",
+    ("sweep", "route_b.json"): "dd100824d882cfb265687455120338c2f0c1b2ea54c5e5b26c340bea56633ed2",
+    ("sweep", "route_c.json"): "630e08531092ad3d8cf2580eb1e7aa7003cec525783cd790021e39d414024594",
+    ("sweep", "xtalk_5slot.json"): "ccccf21b3f7daf80842125ce04fd87eee983e869c4418633336e580d34d1e6b4",
+    ("sweep", "xtalk_mixed.json"): "73048bf4c7147b3106d0b71d2f9f0cb44ab9a5502ec44917c03530b86c6b3ffe",
+    ("diagnose", "route_a.json"): "58c8b153513c1f6b6c330c5266e1fc7fba647599b638f1ec454e43132a03bcdc",
+    ("diagnose", "route_b.json"): "19d86cfa867c62a01ee55eb6df83de2152475b66fabbf865ad566f020b99183d",
+    ("diagnose", "route_c.json"): "62c73727176e743507105bd662db624552a5985b9313c11e693e6795e1fa0a39",
+    ("diagnose", "xtalk_5slot.json"): "e428b303bca3cc5b7a8138bf99625ded728f01b9d2f07cdc8f8d82626ffa38b5",
+    ("diagnose", "xtalk_mixed.json"): "b8f517b3cd7fc08d5839a3dca127922791cb0acd8de02e75c9bc315ece882be3",
+    ("recommend", "route_c.json"): "85d5e1497c163d4ed57ed425ee194e72f8a77700f689b2c03c667eb360772bd3",
+    ("crosstalk", "xtalk_5slot.json"): "057a6118686b39f4406ca7c4c9e6b0c3dfffd65d7957bc1e728cdcaa45ea3120",
+    ("crosstalk", "xtalk_mixed.json"): "fe5266e7d9eb813a0f934c103d3869c3b1ddf59227f0a5ca51821d64471d660d",
+}
+CSV_DIGESTS = {
+    ("sweep", "route_a.json"): "a57137476ecd8f93138fe636fff18388b469758bb54b46840347a1f46a022805",
+    ("sweep", "route_b.json"): "354337cc18ff5f4b28f181d0a5dfb085ed78b84aeb617b7cb0b7609a08eb0629",
+    ("sweep", "route_c.json"): "2d4f2dfbfdb4a2236d36ce51b730a5f2da09712554dbaabe2e6836a38e927fb8",
+    ("sweep", "xtalk_5slot.json"): "ee67527186aaae932e4fd60dee3dc287b9daadd968dd2581bbb6c72c19a5a794",
+    ("sweep", "xtalk_mixed.json"): "ef6de2c3da16e2a85afcb60967bb063ea58a6666310be9864d00a6e4ef58f59a",
+    ("crosstalk", "xtalk_5slot.json"): "bcba12d3b8596a8ef2cb6a236447900801faccd514ad53b9a26aedb955603fc5",
+    ("crosstalk", "xtalk_mixed.json"): "c21252179d434848aaec80e169a5955592e82807a7c4c602a94a36d8109ae085",
 }
 
 
@@ -401,18 +432,47 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("command,fixture", FIXTURE_COMMANDS)
-def test_documented_command_succeeds(command, fixture, tmp_path, capsys):
+def _rounded(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def report_digest(report):
+    """sha256 of a JSON report without tool_version, floats at 10 significant digits.
+
+    The rounding keeps the digest stable against last-bit differences between
+    math libraries; everything else in the report is pinned exactly.
+    """
+    body = {k: v for k, v in report.items() if k != "tool_version"}
+    return hashlib.sha256(json.dumps(_rounded(body), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command,fixture,fmt",
+    [pytest.param(c, f, "json", id=f"{c}-{f}") for c, f in FIXTURE_COMMANDS]
+    + [pytest.param(c, f, "csv", id=f"{c}-{f}-csv") for c, f in CSV_COMMANDS],
+)
+def test_documented_command_succeeds(command, fixture, fmt, tmp_path, capsys):
     argv = [command, "--scenario", str(fixture_path(fixture))]
     if command == "validate":
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == f"ok {FIXTURE_HASHES[fixture]}\n"
         return
-    out = tmp_path / "report.json"
-    assert run_cli(*argv, "--out", str(out)) == 0
+    out = tmp_path / f"report.{fmt}"
+    assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 0
+    if fmt == "csv":
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == CSV_DIGESTS[command, fixture]
+        return
     report = _strict_json(out.read_text())
     assert report["scenario_hash"] == FIXTURE_HASHES[fixture]
     assert report["config"] == FIXTURE_CONFIGS[fixture]
+    assert report_digest(report) == REPORT_DIGESTS[command, fixture]
 
 
 def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
