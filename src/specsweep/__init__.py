@@ -17,7 +17,6 @@ from specsweep.errors import (
 from specsweep.formats import (
     BUILTIN_CATALOG,
     CatalogEntry,
-    GsnrSample,
     ModulationFormat,
     catalog_entry,
     normalize_gsnr,
@@ -61,7 +60,6 @@ __all__ = [
     "DiagnosisReport",
     "FilterElement",
     "FrequencyGrid",
-    "GsnrSample",
     "MeasurementResult",
     "MediaChannel",
     "ModulationFormat",

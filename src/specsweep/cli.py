@@ -6,6 +6,7 @@ sweep data, 4 I/O error. All outputs are deterministic given the input file
 """
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 
@@ -47,11 +48,8 @@ def _tool_version():
 
 def _load(args):
     sf = load_scenario(args.scenario)
-    overrides = {}
     if getattr(args, "seed_override", None) is not None:
-        overrides["seed"] = args.seed_override
-    if overrides:
-        sf = replace(sf, scenario=replace(sf.scenario, **overrides))
+        sf = replace(sf, scenario=replace(sf.scenario, seed=args.seed_override))
     if getattr(args, "step", None) is not None:
         sf = replace(sf, sweep_step=args.step)
     if getattr(args, "trials", None) is not None:
@@ -81,8 +79,6 @@ def _emit(args, sf, json_body, csv_text):
         if args.out:
             write_json_atomic(args.out, payload)
         else:
-            import json
-
             sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

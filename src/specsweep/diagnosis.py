@@ -303,33 +303,20 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
     return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
 
 
+def _penalties(curve):
+    """(carrier, drop below the curve's peak GSNR in dB, or None at outage) per point."""
+    c, g, mask = _finite(curve)
+    peak = np.max(g[mask], initial=-np.inf)
+    return tuple((float(x), float(peak - y) if ok else None) for x, y, ok in zip(c, g, mask))
+
+
 def pre_emphasis(sweep):
     """Advisory per-carrier launch-power offsets that would flatten the slot."""
-    curve = _reference_curve(sweep)
-    c, g, mask = _finite(curve)
-    if np.count_nonzero(mask) == 0:
-        return ()
-    peak = np.max(g[mask])
     return tuple(
-        (float(c[i]), float(np.clip(peak - g[i], 0.0, PRE_EMPHASIS_CLIP_DB)))
-        for i in range(len(c))
-        if mask[i]
+        (c, min(p, PRE_EMPHASIS_CLIP_DB))
+        for c, p in _penalties(_reference_curve(sweep))
+        if p is not None
     )
-
-
-def _penalty_curves(sweep):
-    out = {}
-    for curve in sweep.curves:
-        c, g, mask = _finite(curve)
-        if np.count_nonzero(mask) == 0:
-            out[curve.probe.probe_id] = tuple((float(x), None) for x in c)
-            continue
-        peak = np.max(g[mask])
-        out[curve.probe.probe_id] = tuple(
-            (float(c[i]), float(peak - g[i]) if mask[i] else None)
-            for i in range(len(c))
-        )
-    return out
 
 
 def diagnose(sweep, catalog=None, guard_ghz=0.0):
@@ -349,14 +336,11 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
     tilt_ripple = _try(estimate_tilt_ripple)
 
     plan = None
+    guards = {}
     if catalog:
         plan = recommend_carriers(sweep, catalog, guard_ghz)
-
-    guards = {}
-    finite_all = np.concatenate([curve.gsnr_db() for curve in sweep.curves])
-    finite_all = finite_all[np.isfinite(finite_all)]
-    if finite_all.size and catalog:
-        link = float(np.median(finite_all))
+        gsnr = np.concatenate([curve.gsnr_db() for curve in sweep.curves])
+        link = float(np.median(gsnr[np.isfinite(gsnr)]))
         for i, ea in enumerate(catalog):
             for eb in catalog[i:]:
                 key = f"{ea.name}|{eb.name}"
@@ -367,7 +351,9 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
         center_offset=offset,
         tilt_db=tilt_ripple.tilt_db if tilt_ripple else None,
         ripple_pp_db=tilt_ripple.ripple_pp_db if tilt_ripple else None,
-        per_probe_penalty_curves=_penalty_curves(sweep),
+        per_probe_penalty_curves={
+            curve.probe.probe_id: _penalties(curve) for curve in sweep.curves
+        },
         carrier_plan=plan,
         guard_band_recommendations=guards,
         pre_emphasis=pre_emphasis(sweep),

@@ -9,7 +9,6 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
 
 import numpy as np
 
@@ -50,18 +49,6 @@ class CatalogEntry:
             raise ValueError("symbol_rate must be > 0")
         if self.net_data_rate_gbps <= 0:
             raise ValueError("net_data_rate_gbps must be > 0")
-
-
-@dataclass(frozen=True)
-class GsnrSample:
-    """A normalized GSNR reading, or an outage marker (no valid reading)."""
-
-    gsnr_db: Optional[float] = None
-    outage: bool = False
-
-    def __post_init__(self):
-        if self.outage == (self.gsnr_db is not None):
-            raise ValueError("exactly one of gsnr_db / outage must be set")
 
 
 DP_QPSK = ModulationFormat("DP-QPSK", 4, BerCurve.QPSK)

@@ -173,14 +173,13 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    carrier: float
-    probe_id: str
-    q_db: Optional[float] = None
-    outage: bool = False
+    """One Q reading; ``q_db`` is None on outage (no valid reading)."""
 
-    def __post_init__(self):
-        if self.outage == (self.q_db is not None):
-            raise ValueError("exactly one of q_db / outage must be set")
+    q_db: Optional[float]
+
+    @property
+    def outage(self):
+        return self.q_db is None
 
 
 @lru_cache(maxsize=32)
@@ -318,10 +317,9 @@ def measure(scenario, carrier, probe, trial_index=0):
             f"carrier {carrier} GHz outside media channel span [{lo}, {hi}]"
         )
     q_db = _noiseless_q_db(scenario, carrier, probe)
-    if q_db is None:
-        return MeasurementResult(carrier, probe.probe_id, outage=True)
-    q_db += _q_noise_db(scenario, carrier, probe, trial_index)
-    return MeasurementResult(carrier, probe.probe_id, q_db=q_db)
+    if q_db is not None:
+        q_db += _q_noise_db(scenario, carrier, probe, trial_index)
+    return MeasurementResult(q_db)
 
 
 class BlackBoxProbe:

@@ -13,12 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from specsweep.errors import ConfigurationError
-from specsweep.formats import (
-    GsnrSample,
-    ber_from_q_db,
-    normalize_gsnr,
-    snr_from_ber,
-)
+from specsweep.formats import ber_from_q_db, normalize_gsnr, snr_from_ber
 from specsweep.linesim import MediaChannel, ProbeConfig
 
 DEFAULT_STEP_GHZ = 6.25
@@ -59,8 +54,10 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One carrier's reading; GSNR and Q are both None at an outage point."""
+
     carrier: float
-    sample: GsnrSample
+    gsnr_db: Optional[float] = None
     q_db: Optional[float] = None
 
 
@@ -76,9 +73,7 @@ class ProbeCurve:
 
     def gsnr_db(self):
         """GSNR values with NaN at outage points."""
-        return np.array(
-            [np.nan if p.sample.outage else p.sample.gsnr_db for p in self.points]
-        )
+        return np.array([p.gsnr_db for p in self.points], dtype=float)
 
     def finite_fraction(self):
         vals = self.gsnr_db()
@@ -107,11 +102,11 @@ def probe_point(session, carrier, probe, trials=1):
     readings = [session.read_q(trial_index=t) for t in range(trials)]
     n_outage = sum(r.outage for r in readings)
     if 2 * n_outage > trials or n_outage == trials:
-        return SweepPoint(carrier, GsnrSample(outage=True))
+        return SweepPoint(carrier)
     q = float(np.median([r.q_db for r in readings if not r.outage]))
     ber = ber_from_q_db(q)
     snr_db = snr_from_ber(probe.entry.format, ber)
-    return SweepPoint(carrier, GsnrSample(gsnr_db=normalize_gsnr(snr_db, probe.symbol_rate)), q)
+    return SweepPoint(carrier, normalize_gsnr(snr_db, probe.symbol_rate), q)
 
 
 def run_sweep(session, plan):
@@ -139,8 +134,8 @@ class ChannelScan:
     slot_index: int
     probe: ProbeConfig
     offsets: Tuple[float, ...]
-    samples: Tuple[GsnrSample, ...]
-    penalties_db: Tuple[Optional[float], ...]  # None where sample is outage
+    gsnr_db: Tuple[Optional[float], ...]  # None at outage
+    penalties_db: Tuple[Optional[float], ...]  # None where this or the aligned reading is outage
 
 
 @dataclass(frozen=True)
@@ -174,19 +169,15 @@ def crosstalk_scan(bench, offsets, trials=1):
         probe = bench.probe_for(idx)
         baseline = probe_point(
             bench.session(idx, 0.0), bench.victim_carrier(idx, 0.0), probe, trials
-        ).sample
-        samples = []
-        penalties = []
-        for off in offsets:
-            sample = probe_point(
+        ).gsnr_db
+        gsnr = tuple(
+            probe_point(
                 bench.session(idx, off), bench.victim_carrier(idx, off), probe, trials
-            ).sample
-            samples.append(sample)
-            if sample.outage or baseline.outage:
-                penalties.append(None)
-            else:
-                penalties.append(baseline.gsnr_db - sample.gsnr_db)
-        channels.append(
-            ChannelScan(idx, probe, offsets, tuple(samples), tuple(penalties))
+            ).gsnr_db
+            for off in offsets
         )
+        penalties = tuple(
+            None if g is None or baseline is None else baseline - g for g in gsnr
+        )
+        channels.append(ChannelScan(idx, probe, offsets, gsnr, penalties))
     return CrosstalkScanResult(offsets, tuple(channels))

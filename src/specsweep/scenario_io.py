@@ -293,12 +293,8 @@ def sweep_result_dict(sweep):
                 "points": [
                     {
                         "carrier": p.carrier,
-                        "outage": p.sample.outage,
-                        **(
-                            {}
-                            if p.sample.outage
-                            else {"gsnr_db": p.sample.gsnr_db, "q_db": p.q_db}
-                        ),
+                        "outage": p.gsnr_db is None,
+                        **({} if p.gsnr_db is None else {"gsnr_db": p.gsnr_db, "q_db": p.q_db}),
                     }
                     for p in curve.points
                 ],
@@ -312,8 +308,8 @@ def sweep_result_csv(sweep):
     lines = ["carrier,probe,gsnr_db,outage"]
     for curve in sweep.curves:
         for p in curve.points:
-            gsnr = "" if p.sample.outage else f"{p.sample.gsnr_db:.4f}"
-            lines.append(f"{p.carrier:.4f},{curve.probe.probe_id},{gsnr},{int(p.sample.outage)}")
+            gsnr = "" if p.gsnr_db is None else f"{p.gsnr_db:.4f}"
+            lines.append(f"{p.carrier:.4f},{curve.probe.probe_id},{gsnr},{int(p.gsnr_db is None)}")
     return "\n".join(lines) + "\n"
 
 
@@ -327,11 +323,11 @@ def crosstalk_result_dict(scan):
                 "points": [
                     {
                         "offset": off,
-                        "outage": s.outage,
-                        **({} if s.outage else {"gsnr_db": s.gsnr_db}),
+                        "outage": g is None,
+                        **({} if g is None else {"gsnr_db": g}),
                         **({} if pen is None else {"penalty_db": pen}),
                     }
-                    for off, s, pen in zip(ch.offsets, ch.samples, ch.penalties_db)
+                    for off, g, pen in zip(ch.offsets, ch.gsnr_db, ch.penalties_db)
                 ],
             }
             for ch in scan.channels
@@ -342,10 +338,10 @@ def crosstalk_result_dict(scan):
 def crosstalk_result_csv(scan):
     lines = ["offset,slot_index,gsnr_db,penalty_db,outage"]
     for ch in scan.channels:
-        for off, s, pen in zip(ch.offsets, ch.samples, ch.penalties_db):
-            gsnr = "" if s.outage else f"{s.gsnr_db:.4f}"
+        for off, g, pen in zip(ch.offsets, ch.gsnr_db, ch.penalties_db):
+            gsnr = "" if g is None else f"{g:.4f}"
             penalty = "" if pen is None else f"{pen:.4f}"
-            lines.append(f"{off:.4f},{ch.slot_index},{gsnr},{penalty},{int(s.outage)}")
+            lines.append(f"{off:.4f},{ch.slot_index},{gsnr},{penalty},{int(g is None)}")
     return "\n".join(lines) + "\n"
 
 
@@ -366,23 +362,13 @@ def carrier_plan_dict(plan):
 
 
 def diagnosis_report_dict(report):
-    bw = report.effective_bandwidth
-    offset = report.center_offset
+    def section(obj):
+        return None if obj is None else dataclasses.asdict(obj)
+
     plan = report.carrier_plan
     return {
-        "effective_bandwidth": None
-        if bw is None
-        else {
-            "lower_bound_ghz": bw.lower_bound_ghz,
-            "upper_bound_ghz": bw.upper_bound_ghz,
-            "threshold_db": bw.threshold_db,
-            "filter_limited": bw.filter_limited,
-            "degenerate": bw.degenerate,
-            "widest_working_width_ghz": bw.widest_working_width_ghz,
-        },
-        "center_offset": None
-        if offset is None
-        else {"offset_ghz": offset.offset_ghz, "low_confidence": offset.low_confidence},
+        "effective_bandwidth": section(report.effective_bandwidth),
+        "center_offset": section(report.center_offset),
         "tilt_db": report.tilt_db,
         "ripple_pp_db": report.ripple_pp_db,
         "per_probe_penalty_curves": {
@@ -391,8 +377,7 @@ def diagnosis_report_dict(report):
         },
         "carrier_plan": None if plan is None else carrier_plan_dict(plan),
         "guard_band_recommendations": {
-            pair: {"min_spacing_ghz": g.min_spacing_ghz, "guard_band_ghz": g.guard_band_ghz}
-            for pair, g in report.guard_band_recommendations.items()
+            pair: dataclasses.asdict(g) for pair, g in report.guard_band_recommendations.items()
         },
         "pre_emphasis": [
             {"carrier": f, "offset_db": o} for f, o in report.pre_emphasis

@@ -94,7 +94,7 @@ def test_criterion_03_route_a_regression():
     for rate in (69.0, 46.0):
         curve = by_rate[rate]
         idx = int(np.argmin(np.abs(curve.carriers() - 18.75)))
-        assert curve.points[idx].sample.outage
+        assert curve.points[idx].gsnr_db is None
 
     curve34 = by_rate[34.0]
     g = curve34.gsnr_db()

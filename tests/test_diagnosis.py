@@ -124,7 +124,7 @@ def test_effective_bandwidth_bounds_bracket_truth():
         filters=[FilterElement(0.0, 58.0, order=5)],
         probes=(QPSK69, HYB46, robust34),
     )
-    assert all(p.sample.outage for p in sweep.curves[0].points)
+    assert all(p.gsnr_db is None for p in sweep.curves[0].points)
     bw = estimate_effective_bandwidth(sweep)
     assert bw.lower_bound_ghz <= 58.0 <= bw.upper_bound_ghz
 

@@ -16,7 +16,6 @@ from specsweep.formats import (
     DP_16QAM,
     DP_P_16QAM,
     DP_QPSK,
-    GsnrSample,
     ber_from_q_db,
     ber_from_snr,
     catalog_entry,
@@ -163,11 +162,3 @@ def test_catalog_contents():
         catalog_entry("nope")
     assert {e.format.bits_per_symbol for e in BUILTIN_CATALOG} == {4, 6, 8}
 
-
-def test_gsnr_sample_exclusivity():
-    GsnrSample(gsnr_db=17.0)
-    GsnrSample(outage=True)
-    with pytest.raises(ValueError):
-        GsnrSample(gsnr_db=17.0, outage=True)
-    with pytest.raises(ValueError):
-        GsnrSample()

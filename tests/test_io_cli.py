@@ -1,10 +1,12 @@
 """Scenario file format and CLI tests."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -410,6 +412,22 @@ def run_checkout_python(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_calibrate_script_refits_the_mixed_fixture(capsys):
+    """scripts/calibrate.py runs on the current result types and its mixed-rate
+    fit reproduces the coupling stored in xtalk_mixed.json."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "calibrate", os.path.join(root, "scripts", "calibrate.py")
+    )
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    calibrate.main()
+    out = capsys.readouterr().out
+    kappa = float(re.search(r"kappa \(mixed fixture\) = (\S+)", out).group(1))
+    fixture = json.loads(fixture_path("xtalk_mixed.json").read_text())
+    assert round(kappa, 5) == fixture["scenario"]["crosstalk_coupling"]
 
 
 def test_console_script_installed():

@@ -14,6 +14,7 @@ from specsweep.linesim import (
     open_session,
 )
 from specsweep.probe import SweepPlan, crosstalk_scan, probe_point, run_sweep
+from specsweep.scenario_io import crosstalk_result_dict
 from specsweep.spectral import FilterElement
 
 QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
@@ -37,14 +38,14 @@ def flat_scenario(base=17.0, width=100.0, sigma=0.0, seed=5, **kwargs):
 def test_probe_point_inverts_measure():
     session = open_session(flat_scenario(17.0))
     for probe in PROBES_200G:
-        sample = probe_point(session, 0.0, probe).sample
-        assert sample.gsnr_db == pytest.approx(17.0, abs=0.01)
+        point = probe_point(session, 0.0, probe)
+        assert point.gsnr_db == pytest.approx(17.0, abs=0.01)
 
 
 def test_probe_point_outage_propagates():
     session = open_session(flat_scenario(3.0))
     point = probe_point(session, 0.0, QAM34)
-    assert point.sample.outage and point.q_db is None
+    assert point.gsnr_db is None and point.q_db is None
 
 
 def test_probe_point_median_suppresses_noise():
@@ -58,11 +59,11 @@ def test_probe_point_median_suppresses_noise():
     seeds = range(300)
     for seed in seeds:
         session = open_session(flat_scenario(17.0, sigma=0.1, seed=seed))
-        sample5 = probe_point(session, 0.0, QPSK69, trials=5).sample
-        sample1 = probe_point(session, 0.0, QPSK69, trials=1).sample
-        err5 += abs(sample5.gsnr_db - 17.0)
-        err1 += abs(sample1.gsnr_db - 17.0)
-        if abs(sample5.gsnr_db - 17.0) <= 0.15:
+        gsnr5 = probe_point(session, 0.0, QPSK69, trials=5).gsnr_db
+        gsnr1 = probe_point(session, 0.0, QPSK69, trials=1).gsnr_db
+        err5 += abs(gsnr5 - 17.0)
+        err1 += abs(gsnr1 - 17.0)
+        if abs(gsnr5 - 17.0) <= 0.15:
             hits += 1
     assert hits / len(seeds) >= 0.97
     assert err5 < err1  # aggregation really helps
@@ -105,17 +106,17 @@ def test_sweep_deterministic_and_order_independent():
 def test_sweep_records_edge_outage_as_data():
     sc = flat_scenario(16.4, filters=(FilterElement(0.0, 50.0, order=4),))
     sweep = run_sweep(open_session(sc), SweepPlan(MediaChannel(0.0, 100.0), (QPSK69,)))
-    samples = sweep.curves[0].points
-    assert samples[0].sample.outage  # slot edge, band far outside the filter
-    assert any(not p.sample.outage for p in samples)
+    points = sweep.curves[0].points
+    assert points[0].gsnr_db is None  # slot edge, band far outside the filter
+    assert any(p.gsnr_db is not None for p in points)
 
 
-def _bench(kappa, probes, seed=42):
+def _bench(kappa, probes, seed=42, base=20.0):
     slots = tuple(MediaChannel(c, 75.0) for c in (-150, -75, 0, 75, 150))
     sc = Scenario(
         media_channels=slots,
         filters=(),
-        gsnr_profile=GsnrProfile(20.0),
+        gsnr_profile=GsnrProfile(base),
         crosstalk_coupling=kappa,
         measurement_noise_sigma_db=0.0,
         seed=seed,
@@ -155,6 +156,20 @@ def test_crosstalk_scan_mixed_rates_later_onset():
     # offsets: no measurable penalty yet at 12.5 GHz, unlike the 69 GBd case.
     assert mixed.channel(2).penalties_db[1] == pytest.approx(0.0, abs=1e-9)
     assert all69.channel(2).penalties_db[1] > 0.3
+
+
+def test_crosstalk_outage_is_none_and_left_out_of_the_report():
+    """At 13 dB the 16QAM center channel is in outage while its QPSK
+    neighbors read: its readings and penalties are None, and its report
+    points carry neither a GSNR nor a penalty."""
+    qam = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
+    bench = _bench(0.0957, (QPSK69, QPSK69, qam, QPSK69, QPSK69), base=13.0)
+    scan = crosstalk_scan(bench, (0.0, 6.25, 12.5))
+    center = scan.channel(2)
+    assert center.gsnr_db == center.penalties_db == (None, None, None)
+    assert all(g is not None for g in scan.channel(1).gsnr_db)
+    points = crosstalk_result_dict(scan)["channels"][2]["points"]
+    assert points == [{"offset": off, "outage": True} for off in (0.0, 6.25, 12.5)]
 
 
 def test_crosstalk_scan_rejects_offsets_outside_slot():
