@@ -3,101 +3,68 @@
 
 Re-derives the fitted constants (crosstalk coupling, base GSNR, filter
 shape) that make the frozen fixtures hit their regression targets, and
-prints the achieved numbers. Run from the repo root after any change to the
+prints the achieved numbers. It reads the bundled fixtures and changes only
+the knob it fits. Run from the repo root after any change to the
 measurement chain:
 
-    python3 scripts/calibrate.py
+    PYTHONPATH=src python3 scripts/calibrate.py
 
 The printed values are fits of the simulator's free knobs, not measured
 constants; the chosen values are hard-coded in src/specsweep/scenarios/.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from specsweep.formats import catalog_entry
-from specsweep.linesim import (
-    CrosstalkBench,
-    FrequencyGrid,
-    GsnrProfile,
-    MediaChannel,
-    ProbeConfig,
-    Scenario,
-)
+from specsweep import diagnosis, load_fixture
+from specsweep.formats import bisect, catalog_entry
+from specsweep.linesim import CrosstalkBench, open_session
 from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
-from specsweep.linesim import open_session
-from specsweep.spectral import FilterElement, Ripple, SignalSpectrum, overlap_coefficient
+from specsweep.spectral import SignalSpectrum, overlap_coefficient
 
 
-def five_slot_scenario(kappa, base_gsnr_db, probes):
-    slots = tuple(MediaChannel(c, 75.0) for c in (-150.0, -75.0, 0.0, 75.0, 150.0))
-    return CrosstalkBench(
-        Scenario(
-            media_channels=slots,
-            filters=(),
-            gsnr_profile=GsnrProfile(base_gsnr_db),
-            crosstalk_coupling=kappa,
-            measurement_noise_sigma_db=0.0,
-            seed=42,
-        ),
-        probes,
-    )
+def fixture_scan(fixture, kappa, offsets):
+    """Crosstalk scan of a five-slot fixture with its coupling set to ``kappa``."""
+    sf = load_fixture(fixture)
+    scenario = replace(sf.scenario, crosstalk_coupling=kappa)
+    return crosstalk_scan(CrosstalkBench(scenario, sf.slot_probes), offsets)
 
 
-def crosstalk_all69(kappa, base_gsnr_db=20.0):
-    probe = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
-    bench = five_slot_scenario(kappa, base_gsnr_db, (probe,) * 5)
-    scan = crosstalk_scan(bench, (0.0, 6.25, 12.5, 18.75, 25.0))
+def crosstalk_all69(kappa):
+    scan = fixture_scan("xtalk_5slot.json", kappa, (0.0, 6.25, 12.5, 18.75, 25.0))
     central = scan.channel(2)
-    return {off: pen for off, pen in zip(central.offsets, central.penalties_db)}
+    return {off: float(pen) for off, pen in zip(central.offsets, central.penalties_db)}
 
 
-def crosstalk_mixed(kappa, base_gsnr_db=20.0):
-    side = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
-    center = ProbeConfig(catalog_entry("100G-34GBd-DP-QPSK"))
-    bench = five_slot_scenario(kappa, base_gsnr_db, (side, side, center, side, side))
-    scan = crosstalk_scan(bench, (0.0, 25.0))
+def crosstalk_mixed(kappa):
+    scan = fixture_scan("xtalk_mixed.json", kappa, (0.0, 25.0))
     return {
-        "central": scan.channel(2).penalties_db[1],
-        "approached": scan.channel(3).penalties_db[1],
-        "next_nearest": scan.channel(4).penalties_db[1],
+        "central": float(scan.channel(2).penalties_db[1]),
+        "approached": float(scan.channel(3).penalties_db[1]),
+        "next_nearest": float(scan.channel(4).penalties_db[1]),
     }
 
 
 def fit_kappa(target_fn, key, target, lo, hi, tol=1e-5):
     """Bisection on kappa so that target_fn(kappa)[key] == target."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if target_fn(mid)[key] < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda kappa: target_fn(kappa)[key] < target, lo, hi, tol)
+
+
+def fixture_sweep(fixture):
+    sf = load_fixture(fixture)
+    plan = SweepPlan(sf.scenario.media_channels[0], sf.probes, sf.sweep_step, sf.trials_per_point)
+    return sf, run_sweep(open_session(sf.scenario), plan)
 
 
 def route_a_check():
-    from specsweep import diagnosis
-
-    scenario = Scenario(
-        media_channels=(MediaChannel(0.0, 100.0),),
-        filters=(
-            FilterElement(0.0, 79.0, order=10, ripple=Ripple(0.9, 31.25, -np.pi / 2)),
-        ),
-        gsnr_profile=GsnrProfile(16.4),
-        filtering_exponent=14.0,
-        measurement_noise_sigma_db=0.0,
-        seed=7,
-    )
-    probes = tuple(
-        ProbeConfig(catalog_entry(name))
-        for name in ("200G-69GBd-DP-QPSK", "200G-46GBd-DP-P-16QAM", "200G-34GBd-DP-16QAM")
-    )
-    sweep = run_sweep(open_session(scenario), SweepPlan(scenario.media_channels[0], probes))
+    _, sweep = fixture_sweep("route_a.json")
     out = {}
     for curve in sweep.curves:
         c = curve.carriers()
         g = curve.gsnr_db()
-        peak = np.nanmax(g)
-        at = {off: g[np.argmin(np.abs(c - off))] for off in (0.0, 6.25, 18.75)}
+        peak = float(np.nanmax(g))
+        at = {off: float(g[np.argmin(np.abs(c - off))]) for off in (6.25, 18.75)}
         out[curve.probe.probe_id] = {
             "peak": peak,
             "pen@6.25": peak - at[6.25],
@@ -109,27 +76,10 @@ def route_a_check():
 
 
 def route_c_check():
-    from specsweep import diagnosis
-
-    scenario = Scenario(
-        media_channels=(MediaChannel(0.0, 400.0),),
-        filters=(),
-        gsnr_profile=GsnrProfile(20.6, tilt_db=2.5),
-        measurement_noise_sigma_db=0.1,
-        seed=11,
-        grid=FrequencyGrid(-300.0, 300.0),
-    )
-    probes = tuple(
-        ProbeConfig(catalog_entry(name))
-        for name in ("200G-69GBd-DP-QPSK", "200G-46GBd-DP-P-16QAM", "200G-34GBd-DP-16QAM")
-    )
-    sweep = run_sweep(
-        open_session(scenario),
-        SweepPlan(scenario.media_channels[0], probes, trials_per_point=5),
-    )
+    sf, sweep = fixture_sweep("route_c.json")
     tilt = diagnosis.estimate_tilt_ripple(sweep)
-    catalog = [catalog_entry("300G-69GBd-DP-P-16QAM"), catalog_entry("300G-52GBd-DP-16QAM")]
-    plan = diagnosis.recommend_carriers(sweep, catalog)
+    catalog = [catalog_entry(name) for name in sf.recommend_catalog]
+    plan = diagnosis.recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
     return {
         "tilt": round(tilt.tilt_db, 3),
         "ripple_pp": round(tilt.ripple_pp_db, 3),
@@ -139,9 +89,7 @@ def route_c_check():
 
 def main():
     chi = {
-        d: overlap_coefficient(
-            SignalSpectrum(69.0), SignalSpectrum(69.0), d
-        )
+        d: overlap_coefficient(SignalSpectrum(69.0), SignalSpectrum(69.0), d)
         for d in (56.25, 62.5, 68.75, 75.0)
     }
     print("chi(69,69):", {k: round(v, 6) for k, v in chi.items()})
@@ -156,9 +104,7 @@ def main():
     # Mixed-rate fixture: pin the central 34GBd penalty at 25 GHz to 1.4 dB
     # (inside 1.2 +/- 0.3) so the approached 69GBd neighbor clears the
     # 0.9 - 0.3 lower edge with some room.
-    kappa_mixed = fit_kappa(
-        lambda k: crosstalk_mixed(k), "central", 1.4, 0.005, 0.3
-    )
+    kappa_mixed = fit_kappa(crosstalk_mixed, "central", 1.4, 0.005, 0.3)
     print(f"kappa (mixed fixture) = {kappa_mixed:.6f}")
     print("mixed:", {k: round(v, 3) for k, v in crosstalk_mixed(kappa_mixed).items()})
 

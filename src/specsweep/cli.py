@@ -10,6 +10,7 @@ import json
 import sys
 from dataclasses import replace
 
+from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
 from specsweep.errors import (
     ConfigurationError,
@@ -30,7 +31,6 @@ from specsweep.scenario_io import (
     scenario_hash,
     sweep_result_csv,
     sweep_result_dict,
-    write_json_atomic,
     write_text_atomic,
 )
 
@@ -38,12 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNDIAGNOSABLE = 3
 EXIT_IO = 4
-
-
-def _tool_version():
-    from specsweep import __version__
-
-    return __version__
 
 
 def _load(args):
@@ -58,28 +52,21 @@ def _load(args):
     return sf
 
 
-def _report_envelope(sf, body):
-    return {
-        "tool_version": _tool_version(),
-        "scenario_hash": scenario_hash(sf),
-        "config": report_config(sf),
-        **body,
-    }
-
-
 def _emit(args, sf, json_body, csv_text):
     if args.format == "csv":
         text = csv_text
-        if args.out:
-            write_text_atomic(args.out, text)
-        else:
-            sys.stdout.write(text)
     else:
-        payload = _report_envelope(sf, json_body)
-        if args.out:
-            write_json_atomic(args.out, payload)
-        else:
-            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        report = {
+            "tool_version": __version__,
+            "scenario_hash": scenario_hash(sf),
+            "config": report_config(sf),
+            **json_body,
+        }
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        write_text_atomic(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _sweep_plan(sf):

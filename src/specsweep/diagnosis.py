@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from specsweep.errors import UndiagnosableError
-from specsweep.formats import required_gsnr
+from specsweep.formats import bisect, required_gsnr
 from specsweep.spectral import DEFAULT_ROLL_OFF, SignalSpectrum, occupied_width, overlap_coefficient
 
 PENALTY_THRESHOLD_DB = 0.5
@@ -292,14 +292,12 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
     half_sum = (a.occupied_width + b.occupied_width) / 2.0
     if _pair_penalty_db(0.0, a, b, link_gsnr_db) <= max_penalty_db:
         return GuardBandResult(0.0, 0.0)
-    lo, hi = 0.0, half_sum
-    while hi - lo > GUARD_BAND_TOL_GHZ:
-        mid = 0.5 * (lo + hi)
-        if _pair_penalty_db(mid, a, b, link_gsnr_db) > max_penalty_db:
-            lo = mid
-        else:
-            hi = mid
-    spacing = 0.5 * (lo + hi)
+    spacing = bisect(
+        lambda s: _pair_penalty_db(s, a, b, link_gsnr_db) > max_penalty_db,
+        0.0,
+        half_sum,
+        GUARD_BAND_TOL_GHZ,
+    )
     return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
 
 

@@ -5,10 +5,10 @@ gsnr_db = snr_db + 10 log10(symbol_rate / 12.5). The in-band SNR of a probe
 at any symbol rate therefore maps onto one comparable channel metric.
 """
 
-import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -16,22 +16,34 @@ REFERENCE_BANDWIDTH_GHZ = 12.5
 FEC_BER = 2e-2
 DEFAULT_OUTAGE_BER = 5e-2
 SNR_FLOOR_DB = -30.0
+# Every catalog entry is planned with this margin above its FEC threshold.
+REQUIRED_MARGIN_DB = 1.0
 _SNR_TOL_DB = 1e-4
 _BER_FLOOR = 1e-300
 _STANDARD_NORMAL = NormalDist()
 
 
-class BerCurve(enum.Enum):
-    QPSK = "qpsk"
-    HYBRID8 = "hybrid8"
-    QAM16 = "qam16"
+def _ber_qpsk(snr_lin):
+    return 0.5 * math.erfc(math.sqrt(snr_lin / 2.0))
+
+
+def _ber_qam16(snr_lin):
+    # Gray-coded square 16QAM approximation.
+    return (3.0 / 8.0) * math.erfc(math.sqrt(snr_lin / 10.0))
+
+
+def _ber_hybrid(snr_lin):
+    # Hybrid of QPSK and 16QAM: the geometric mean of the parent curves keeps
+    # it strictly between them at every SNR.
+    return math.sqrt(_ber_qpsk(snr_lin) * _ber_qam16(snr_lin))
 
 
 @dataclass(frozen=True)
 class ModulationFormat:
     name: str
     bits_per_symbol: int
-    ber_curve: BerCurve
+    # Unclipped BER at a linear in-band SNR.
+    ber: Callable[[float], float] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,6 @@ class CatalogEntry:
     format: ModulationFormat
     symbol_rate: float
     net_data_rate_gbps: float
-    margin_db: float = 1.0
 
     def __post_init__(self):
         if self.symbol_rate <= 0:
@@ -51,9 +62,9 @@ class CatalogEntry:
             raise ValueError("net_data_rate_gbps must be > 0")
 
 
-DP_QPSK = ModulationFormat("DP-QPSK", 4, BerCurve.QPSK)
-DP_P_16QAM = ModulationFormat("DP-P-16QAM", 6, BerCurve.HYBRID8)
-DP_16QAM = ModulationFormat("DP-16QAM", 8, BerCurve.QAM16)
+DP_QPSK = ModulationFormat("DP-QPSK", 4, _ber_qpsk)
+DP_P_16QAM = ModulationFormat("DP-P-16QAM", 6, _ber_hybrid)
+DP_16QAM = ModulationFormat("DP-16QAM", 8, _ber_qam16)
 
 # Probe set from the field campaign plus the 300G planning modes and the
 # 100G low-rate mode used in the mixed crosstalk test.
@@ -74,44 +85,33 @@ def catalog_entry(name):
     raise KeyError(f"unknown catalog entry {name!r}")
 
 
-def _ber_qpsk(snr_lin):
-    return 0.5 * math.erfc(math.sqrt(snr_lin / 2.0))
+def bisect(below, lo, hi, tol):
+    """Midpoint of the bracket [lo, hi] halved until it is at most ``tol`` wide.
 
-
-def _ber_qam16(snr_lin):
-    # Gray-coded square 16QAM approximation.
-    return (3.0 / 8.0) * math.erfc(math.sqrt(snr_lin / 10.0))
+    ``below(x)`` is true when the sought point lies above ``x``.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def ber_from_snr(fmt, snr_db):
     """Pre-FEC BER of a format at the in-band SNR ``snr_db``, clipped to [_BER_FLOOR, 0.5]."""
     snr_lin = 10.0 ** (float(snr_db) / 10.0)
-    curve = fmt.ber_curve
-    if curve is BerCurve.QPSK:
-        ber = _ber_qpsk(snr_lin)
-    elif curve is BerCurve.QAM16:
-        ber = _ber_qam16(snr_lin)
-    else:
-        # Hybrid 8-bit/4D format: geometric mean of the parent curves keeps it
-        # strictly between QPSK and 16QAM at every SNR.
-        ber = math.sqrt(_ber_qpsk(snr_lin) * _ber_qam16(snr_lin))
-    return min(max(ber, _BER_FLOOR), 0.5)
+    return min(max(fmt.ber(snr_lin), _BER_FLOOR), 0.5)
 
 
 def snr_from_ber(fmt, ber):
     """Invert ber_from_snr by bisection; clamped at SNR_FLOOR_DB."""
     if not 0.0 < ber < 0.5:
         raise ValueError(f"ber must be in (0, 0.5), got {ber}")
-    lo, hi = SNR_FLOOR_DB, 60.0
-    if ber_from_snr(fmt, lo) <= ber:
+    if ber_from_snr(fmt, SNR_FLOOR_DB) <= ber:
         return SNR_FLOOR_DB
-    while hi - lo > _SNR_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        if ber_from_snr(fmt, mid) > ber:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda snr: ber_from_snr(fmt, snr) > ber, SNR_FLOOR_DB, 60.0, _SNR_TOL_DB)
 
 
 def q_db_from_ber(ber):
@@ -142,6 +142,6 @@ def denormalize_gsnr(gsnr_db, symbol_rate):
 
 
 def required_gsnr(entry):
-    """Normalized GSNR needed to run ``entry`` at the FEC threshold plus margin."""
+    """Normalized GSNR needed to run ``entry`` at the FEC threshold plus REQUIRED_MARGIN_DB."""
     snr = snr_from_ber(entry.format, FEC_BER)
-    return normalize_gsnr(snr, entry.symbol_rate) + entry.margin_db
+    return normalize_gsnr(snr, entry.symbol_rate) + REQUIRED_MARGIN_DB

@@ -285,8 +285,11 @@ def _noiseless_q_db(scenario, carrier, probe):
     if rho <= 0.0:
         return None
 
-    profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
-    g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
+    # Past the float range the profile reads +-inf dB: -inf is an exact zero,
+    # and an inf or NaN (0 * inf) average is decided below, so neither warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
+        g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
     try:
         g_filtered = g_profile * rho ** scenario.filtering_exponent
     except OverflowError:

@@ -279,10 +279,6 @@ def write_text_atomic(path, text):
         raise
 
 
-def write_json_atomic(path, payload):
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def sweep_result_dict(sweep):
     return {
         "slot": {"center": sweep.slot.center, "width": sweep.slot.width},

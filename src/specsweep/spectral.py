@@ -138,7 +138,8 @@ class FilterElement:
 
 def filter_power_response(offset, filt):
     """Super-Gaussian power transmission, times the ripple term if present."""
-    resp = np.exp(-LN2 * np.abs(2.0 * offset / filt.bandwidth_3db) ** (2 * filt.order))
+    with np.errstate(over="ignore"):  # far out of band the power overflows: exp(-inf) = 0
+        resp = np.exp(-LN2 * np.abs(2.0 * offset / filt.bandwidth_3db) ** (2 * filt.order))
     if filt.ripple is not None:
         rip = filt.ripple
         resp = resp * 10.0 ** (

@@ -19,7 +19,6 @@ from specsweep.diagnosis import (
 )
 from specsweep.formats import (
     BUILTIN_CATALOG,
-    BerCurve,
     DP_16QAM,
     DP_QPSK,
     ber_from_q_db,
@@ -198,18 +197,16 @@ def test_criterion_09_conversion_round_trips():
     """ber<->snr within 0.01 dB, ber<->Q within 1e-6 relative, normalize
     round trip exact, all against independent oracles."""
 
-    def oracle_ber(curve, snr_db):
+    def oracle_ber(fmt, snr_db):
         s = 10.0 ** (snr_db / 10.0)
         qpsk = 0.5 * erfc(np.sqrt(s / 2.0))
         qam16 = (3.0 / 8.0) * erfc(np.sqrt(s / 10.0))
-        return {BerCurve.QPSK: qpsk, BerCurve.QAM16: qam16}.get(
-            curve, np.sqrt(qpsk * qam16)
-        )
+        return {DP_QPSK: qpsk, DP_16QAM: qam16}.get(fmt, np.sqrt(qpsk * qam16))
 
     for fmt in (DP_QPSK, DP_16QAM):
         for snr in np.linspace(0.0, 25.0, 26):
             ber = ber_from_snr(fmt, snr)
-            assert ber == pytest.approx(oracle_ber(fmt.ber_curve, snr), rel=1e-9)
+            assert ber == pytest.approx(oracle_ber(fmt, snr), rel=1e-9)
             if 0.0 < ber < 0.5:
                 assert snr_from_ber(fmt, ber) == pytest.approx(snr, abs=0.01)
 

@@ -416,7 +416,7 @@ def run_checkout_python(*args):
 
 def test_calibrate_script_refits_the_mixed_fixture(capsys):
     """scripts/calibrate.py runs on the current result types and its mixed-rate
-    fit reproduces the coupling stored in xtalk_mixed.json."""
+    fit reproduces the coupling stored in xtalk_mixed.json; it prints plain floats."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "calibrate", os.path.join(root, "scripts", "calibrate.py")
@@ -425,6 +425,7 @@ def test_calibrate_script_refits_the_mixed_fixture(capsys):
     spec.loader.exec_module(calibrate)
     calibrate.main()
     out = capsys.readouterr().out
+    assert "np.float64(" not in out
     kappa = float(re.search(r"kappa \(mixed fixture\) = (\S+)", out).group(1))
     fixture = json.loads(fixture_path("xtalk_mixed.json").read_text())
     assert round(kappa, 5) == fixture["scenario"]["crosstalk_coupling"]
