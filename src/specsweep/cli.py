@@ -150,13 +150,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        if needs_out:
-            p.add_argument("--out", help="output path (stdout when omitted)")
-            p.add_argument(
-                "--format", choices=("json", "csv"), default="json", help="output format"
-            )
+        p.add_argument("--out", help="output path (stdout when omitted)")
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--step", type=float, help="override sweep step (GHz)")
         p.add_argument("--trials", type=int, help="override trials per point")
         p.add_argument("--seed-override", type=int, help="override scenario seed")

@@ -86,6 +86,11 @@ class DiagnosisReport:
     pre_emphasis: Tuple[Tuple[float, float], ...]
 
 
+def _widths(sweep):
+    """Occupied width of each curve's probe, in curve order."""
+    return [occupied_width(c.probe.symbol_rate, c.probe.roll_off) for c in sweep.curves]
+
+
 def _finite(curve):
     c = curve.carriers()
     g = curve.gsnr_db()
@@ -139,7 +144,7 @@ def estimate_effective_bandwidth(sweep):
     of the widest probe that returned any finite reading, clamped to the
     upper bound when the two cross.
     """
-    widths = [curve.probe.spectrum_at(0.0).occupied_width for curve in sweep.curves]
+    widths = _widths(sweep)
     order = np.argsort(widths)
     narrow = sweep.curves[order[0]]
     c, g, mask = _finite(narrow)
@@ -157,11 +162,7 @@ def estimate_effective_bandwidth(sweep):
     upper = narrow_width + (c[hi] - c[lo]) + sweep.step
     degenerate = bool(np.count_nonzero(mask) == 1)
 
-    working = [
-        widths[i]
-        for i in range(len(sweep.curves))
-        if np.count_nonzero(np.isfinite(sweep.curves[i].gsnr_db())) > 0
-    ]
+    working = [w for w, curve in zip(widths, sweep.curves) if curve.finite_fraction() > 0.0]
     widest_working = max(working) if working else narrow_width
     lower = min(widest_working, upper)
     return EffectiveBandwidth(
@@ -176,11 +177,10 @@ def estimate_effective_bandwidth(sweep):
 
 def _reference_curve(sweep):
     """Widest probe with >= 80% finite samples, else the narrowest probe."""
-    widths = [curve.probe.spectrum_at(0.0).occupied_width for curve in sweep.curves]
+    widths = _widths(sweep)
     candidates = [
-        (widths[i], i)
-        for i in range(len(sweep.curves))
-        if sweep.curves[i].finite_fraction() >= 0.8
+        (w, i) for i, (w, curve) in enumerate(zip(widths, sweep.curves))
+        if curve.finite_fraction() >= 0.8
     ]
     if candidates:
         return sweep.curves[max(candidates)[1]]

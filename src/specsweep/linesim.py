@@ -10,7 +10,7 @@ that the sweep engine and diagnosis are allowed to see.
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,20 +30,15 @@ from specsweep.spectral import (
     Ripple,
     SignalSpectrum,
     cascade_power_response,
+    check_center,
     overlap_coefficient,
     signal_psd,
 )
 
-# Bounds on carrier centers, neighbor power offsets and read noise, checked
-# when a scenario is built: beyond them the model's arithmetic overflows.
-MAX_CENTER_GHZ = 1e6
+# Bounds on neighbor power offsets and read noise, checked when a scenario
+# is built: beyond them the model's arithmetic overflows.
 MAX_POWER_OFFSET_DB = 100.0
 MAX_NOISE_SIGMA_DB = 10.0
-
-
-def _check_center(center):
-    if not abs(center) <= MAX_CENTER_GHZ:
-        raise ValueError(f"center must be within +/-{MAX_CENTER_GHZ:g} GHz, got {center}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,7 @@ class MediaChannel:
     width: float
 
     def __post_init__(self):
-        _check_center(self.center)
+        check_center(self.center)
         if self.width <= 0:
             raise ValueError("media channel width must be > 0")
 
@@ -71,24 +66,13 @@ class MediaChannel:
 class GsnrProfile:
     """GSNR over frequency: base at the anchor center, linear tilt, ripple.
 
-    The anchor defaults to the scenario's media channel; it is set explicitly
-    when a multi-slot layout is split into per-victim scenarios so that all
-    victims see the same underlying profile.
+    The anchor is the span of the scenario's media channels (see
+    ``local_gsnr_db``), so every slot of a layout reads one profile.
     """
 
     base_gsnr_db: float
     tilt_db: float = 0.0
     ripple_components: Tuple[Ripple, ...] = ()
-    anchor_center: Optional[float] = None
-    anchor_width: Optional[float] = None
-
-    def evaluate(self, f, channel):
-        center = self.anchor_center if self.anchor_center is not None else channel.center
-        width = self.anchor_width if self.anchor_width is not None else channel.width
-        g = self.base_gsnr_db + self.tilt_db * (f - center) / width
-        for rip in self.ripple_components:
-            g = g + rip.amplitude_db * np.sin(2.0 * np.pi * f / rip.period_ghz + rip.phase_rad)
-        return g
 
 
 @dataclass(frozen=True)
@@ -99,7 +83,6 @@ class NeighborChannel:
     power_offset_db: float = 0.0
 
     def __post_init__(self):
-        _check_center(self.spectrum.center)
         if not abs(self.power_offset_db) <= MAX_POWER_OFFSET_DB:
             raise ValueError(
                 f"power_offset_db must be within +/-{MAX_POWER_OFFSET_DB:g}, "
@@ -135,7 +118,7 @@ class Scenario:
         if not 0.0 < self.outage_ber < 0.5:
             raise ValueError(f"outage_ber must be in (0, 0.5), got {self.outage_ber}")
 
-    @property
+    @cached_property  # read on every measurement
     def span(self):
         return (
             min(mc.start for mc in self.media_channels),
@@ -188,8 +171,21 @@ def _cascade_on_grid(filters, grid):
 
 
 def local_gsnr_db(scenario, f):
-    """Underlying GSNR profile at the absolute frequencies ``f`` (extrapolates)."""
-    return scenario.gsnr_profile.evaluate(f, scenario.media_channels[0])
+    """Underlying GSNR profile at the absolute frequencies ``f`` (extrapolates).
+
+    The tilt is anchored at the span of the media channels. A single channel
+    is its own anchor, taken as is: its span's midpoint can differ by an ulp.
+    """
+    if len(scenario.media_channels) == 1:
+        center, width = scenario.media_channels[0].center, scenario.media_channels[0].width
+    else:
+        lo, hi = scenario.span
+        center, width = (lo + hi) / 2.0, hi - lo
+    profile = scenario.gsnr_profile
+    g = profile.base_gsnr_db + profile.tilt_db * (f - center) / width
+    for rip in profile.ripple_components:
+        g = g + rip.amplitude_db * np.sin(2.0 * np.pi * f / rip.period_ghz + rip.phase_rad)
+    return g
 
 
 def _occupied_slice(grid, spectrum):
@@ -339,8 +335,7 @@ class BlackBoxProbe:
 
     @property
     def slot(self):
-        mc = self.__scenario.media_channels[0]
-        return MediaChannel(mc.center, mc.width)
+        return self.__scenario.media_channels[0]
 
     def set_carrier(self, carrier):
         self.__carrier = float(carrier)
@@ -362,10 +357,11 @@ def open_session(scenario):
 class CrosstalkBench:
     """Multi-slot layout where every slot carries one carrier.
 
-    Builds, per victim slot, a single-channel scenario in which all other
-    slots appear as neighbor channels; the middle slot's carrier can be
-    offset to emulate a drifting customer. The sweep engine only ever sees
-    the sessions this bench hands out.
+    Builds, per victim slot, the layout's scenario with the victim's slot
+    first (the probed slot, as in a sweep) and every other slot's carrier as
+    a neighbor channel; the middle slot's carrier can be offset to emulate a
+    drifting customer. The sweep engine only ever sees the sessions this
+    bench hands out.
     """
 
     def __init__(self, scenario, slot_probes):
@@ -377,13 +373,6 @@ class CrosstalkBench:
             raise ConfigurationError("crosstalk bench needs at least 3 slots")
         self._scenario = scenario
         self._probes = tuple(slot_probes)
-        lo, hi = scenario.span
-        profile = scenario.gsnr_profile
-        if profile.anchor_center is None:
-            profile = replace(
-                profile, anchor_center=(lo + hi) / 2.0, anchor_width=hi - lo
-            )
-        self._profile = profile
 
     @property
     def slot_count(self):
@@ -420,10 +409,9 @@ class CrosstalkBench:
             for k in range(self.slot_count)
             if k != victim_index
         )
+        channels = list(self._scenario.media_channels)
+        victim = channels.pop(victim_index)
         victim_scenario = replace(
-            self._scenario,
-            media_channels=(self._scenario.media_channels[victim_index],),
-            gsnr_profile=self._profile,
-            neighbors=neighbors,
+            self._scenario, media_channels=(victim, *channels), neighbors=neighbors
         )
         return open_session(victim_scenario)

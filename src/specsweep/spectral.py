@@ -20,7 +20,16 @@ DEFAULT_ROLL_OFF = 0.19
 MAX_GRID_POINTS = 1_000_000
 # Upper bound on a filter's super-Gaussian order, far above any real passband.
 MAX_FILTER_ORDER = 100
+# Bounds on carrier and filter centers and on ripple amplitudes, checked when
+# an object is built: beyond them the model's arithmetic overflows.
+MAX_CENTER_GHZ = 1e6
+MAX_RIPPLE_DB = 100.0
 LN2 = np.log(2.0)
+
+
+def check_center(center):
+    if not abs(center) <= MAX_CENTER_GHZ:
+        raise ValueError(f"center must be within +/-{MAX_CENTER_GHZ:g} GHz, got {center}")
 
 
 def occupied_width(symbol_rate, roll_off):
@@ -77,6 +86,7 @@ class SignalSpectrum:
 
     def __post_init__(self):
         occupied_width(self.symbol_rate, self.roll_off)  # validates
+        check_center(self.center)
 
     @property
     def occupied_width(self):
@@ -110,8 +120,10 @@ class Ripple:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude_db < 0:
-            raise ValueError("ripple amplitude_db must be >= 0")
+        if not 0.0 <= self.amplitude_db <= MAX_RIPPLE_DB:
+            raise ValueError(
+                f"ripple amplitude_db must be in [0, {MAX_RIPPLE_DB:g}], got {self.amplitude_db}"
+            )
         if self.period_ghz <= 0:
             raise ValueError("ripple period_ghz must be > 0")
 
@@ -130,6 +142,7 @@ class FilterElement:
     ripple: Optional[Ripple] = None
 
     def __post_init__(self):
+        check_center(self.center)
         if self.bandwidth_3db <= 0:
             raise ValueError("bandwidth_3db must be > 0")
         if not 1 <= self.order <= MAX_FILTER_ORDER:

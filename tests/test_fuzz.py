@@ -15,6 +15,7 @@ import random
 import pytest
 
 from specsweep import cli, fixture_path
+from specsweep.spectral import MAX_CENTER_GHZ, MAX_RIPPLE_DB
 
 COMMANDS = ("validate", "sweep", "diagnose", "crosstalk", "recommend")
 HOSTILE = (1e308, -1e308, 0, 0.0, 1e-300, -1e-300, 10**400, -(10**400), "x", None, True, [], {})
@@ -86,8 +87,8 @@ def run_commands(doc, tmp_path):
     return codes
 
 
-# Inputs that once ended in a traceback or in a silent exit 0, with the
-# exit code validate must give them.
+# Inputs that once ended in a traceback or in a silent exit 0, and values
+# at a parse-time bound, with the exit code validate must give them.
 FIXED_CASES = [
     ("route_a.json", ("scenario", "filtering_exponent"), 1e308, 0),
     ("route_a.json", ("scenario", "gsnr_profile", "base_gsnr_db"), -1e308, 0),
@@ -98,6 +99,13 @@ FIXED_CASES = [
     ("route_c.json", ("recommend", "guard_ghz"), -1e308, 2),
     ("xtalk_5slot.json", ("scenario", "measurement_noise_sigma_db"), 1e308, 2),
     ("route_b.json", ("scenario", "crosstalk_coupling"), 10**400, 2),
+    ("route_a.json", ("scenario", "filters", 0, "center"), 1e308, 2),
+    ("route_a.json", ("scenario", "filters", 0, "center"), -1e308, 2),
+    ("route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), 1e308, 2),
+    ("route_a.json", ("scenario", "filters", 0, "center"), MAX_CENTER_GHZ, 0),
+    ("route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), MAX_RIPPLE_DB, 0),
+    ("route_c.json", ("scenario", "gsnr_profile", "ripple_components"),
+     [{"amplitude_db": MAX_RIPPLE_DB, "period_ghz": 50.0}], 0),
 ]
 
 

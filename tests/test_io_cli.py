@@ -1,5 +1,6 @@
 """Scenario file format and CLI tests."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -9,9 +10,11 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import specsweep
 from specsweep import fixture_path, linesim, load_fixture
 from specsweep.cli import main
 from specsweep.errors import ScenarioFormatError
@@ -130,7 +133,6 @@ def random_scenario_file(rng):
     channels = tuple(
         MediaChannel(num(-200.0, 200.0), num(50.0, 150.0)) for _ in range(rng.randint(1, 5))
     )
-    anchored = rng.random() < 0.5
     scenario = Scenario(
         media_channels=channels,
         filters=tuple(
@@ -146,8 +148,6 @@ def random_scenario_file(rng):
             num(5.0, 30.0),
             tilt_db=num(-3.0, 3.0),
             ripple_components=tuple(ripple() for _ in range(rng.randint(0, 2))),
-            anchor_center=num(-10.0, 10.0) if anchored else None,
-            anchor_width=num(100.0, 400.0) if anchored else None,
         ),
         neighbors=tuple(
             NeighborChannel(
@@ -208,6 +208,8 @@ def test_unknown_field_rejected_with_path():
         (lambda d: d["scenario"]["media_channels"][0], "guard_band_each_side"),
         (lambda d: d["probes"][0], "p_ref_dbm"),
         (lambda d: d["probes"][0], "sr_ref_gbd"),
+        (lambda d: d["scenario"]["gsnr_profile"], "anchor_center"),
+        (lambda d: d["scenario"]["gsnr_profile"], "anchor_width"),
     ):
         doc = minimal_doc()
         where(doc)[key] = 0.0
@@ -266,6 +268,23 @@ def test_invalid_values_rejected():
         lambda d: d.update(crosstalk_offsets={"start": -37.5, "stop": 37.5, "step": 1e-9})
     )
     assert err.path == "$.crosstalk_offsets"
+
+
+def test_readme_bounds_table_names_every_max_constant():
+    """Each module-level MAX_* constant of the package is a row of README's
+    bounds table beside the module that defines it, and no row is stale."""
+    package = Path(specsweep.__file__).parent
+    defined = {
+        (target.id, module.stem)
+        for module in package.glob("*.py")
+        for node in ast.parse(module.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^\| `(MAX_\w+)` \| `(\w+)` \|", readme, re.MULTILINE))
+    assert defined and documented == defined
 
 
 def test_missing_required_field():

@@ -188,3 +188,26 @@ def test_crosstalk_penalties_bounded_below_at_zero_sigma():
     for idx in (0, 1, 3, 4):
         for pen in scan.channel(idx).penalties_db:
             assert pen is None or pen >= -0.1
+
+
+def test_layout_profile_is_one_for_sweep_and_crosstalk():
+    """On a tilted layout every victim's aligned reading and a sweep over
+    slot 0 follow one profile, anchored at the whole layout's span."""
+    base, tilt = 20.0, 2.5
+    slots = tuple(MediaChannel(c, 75.0) for c in (-150, -75, 0, 75, 150))
+    sc = Scenario(
+        media_channels=slots,
+        gsnr_profile=GsnrProfile(base, tilt_db=tilt),
+        crosstalk_coupling=0.0,
+        measurement_noise_sigma_db=0.0,
+    )
+
+    def expected(f):  # the layout spans [-187.5, 187.5] GHz
+        return base + tilt * f / 375.0
+
+    scan = crosstalk_scan(CrosstalkBench(sc, (QPSK69,) * 5), (0.0,))
+    for ch in scan.channels:
+        assert ch.gsnr_db[0] == pytest.approx(expected(slots[ch.slot_index].center), abs=0.01)
+    sweep = run_sweep(open_session(sc), SweepPlan(slots[0], (QPSK69,)))
+    for p in sweep.curves[0].points:
+        assert p.gsnr_db == pytest.approx(expected(p.carrier), abs=0.01)
