@@ -83,7 +83,7 @@ def route_c_check():
     return {
         "tilt": round(tilt.tilt_db, 3),
         "ripple_pp": round(tilt.ripple_pp_db, 3),
-        "plan": [(a.center_ghz, a.entry_name, round(a.predicted_margin_db, 2)) for a in plan.assignments],
+        "plan": [(a.center_ghz, a.entry, round(a.predicted_margin_db, 2)) for a in plan.assignments],
     }
 
 

@@ -8,7 +8,7 @@ sweep data, 4 I/O error. All outputs are deterministic given the input file
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
@@ -22,7 +22,6 @@ from specsweep.linesim import CrosstalkBench, open_session
 from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
 from specsweep.scenario_io import (
     CrosstalkOffsets,
-    carrier_plan_dict,
     crosstalk_result_csv,
     crosstalk_result_dict,
     diagnosis_report_dict,
@@ -133,7 +132,7 @@ def cmd_recommend(args):
     sweep = _sweep(sf)
     catalog = [catalog_entry(name) for name in sf.recommend_catalog]
     plan = recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
-    _emit(args, sf, {"carrier_plan": carrier_plan_dict(plan)}, sweep_result_csv(sweep))
+    _emit(args, sf, {"carrier_plan": asdict(plan)}, sweep_result_csv(sweep))
     return EXIT_OK
 
 

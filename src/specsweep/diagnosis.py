@@ -48,7 +48,7 @@ class TiltRippleEstimate:
 @dataclass(frozen=True)
 class CarrierAssignment:
     center_ghz: float
-    entry_name: str
+    entry: str
     predicted_margin_db: float
     occupied_width_ghz: float
 
@@ -75,15 +75,33 @@ class GuardBandResult:
 
 
 @dataclass(frozen=True)
+class PenaltyPoint:
+    """Drop of a probe's GSNR below its peak at one carrier; None at outage."""
+
+    carrier: float
+    penalty_db: Optional[float]
+
+
+@dataclass(frozen=True)
+class EmphasisPoint:
+    """Advisory launch-power offset at one carrier."""
+
+    carrier: float
+    offset_db: float
+
+
+@dataclass(frozen=True)
 class DiagnosisReport:
+    """The diagnosis report; its field names are the report's JSON keys."""
+
     effective_bandwidth: Optional[EffectiveBandwidth]
     center_offset: Optional[OffsetEstimate]
     tilt_db: Optional[float]
     ripple_pp_db: Optional[float]
-    per_probe_penalty_curves: Dict[str, Tuple[Tuple[float, Optional[float]], ...]]
+    per_probe_penalty_curves: Dict[str, Tuple[PenaltyPoint, ...]]
     carrier_plan: Optional[CarrierPlan]
     guard_band_recommendations: Dict[str, GuardBandResult]
-    pre_emphasis: Tuple[Tuple[float, float], ...]
+    pre_emphasis: Tuple[EmphasisPoint, ...]
 
 
 def _widths(sweep):
@@ -302,18 +320,20 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
 
 
 def _penalties(curve):
-    """(carrier, drop below the curve's peak GSNR in dB, or None at outage) per point."""
+    """The drop below the curve's peak GSNR at each of its points."""
     c, g, mask = _finite(curve)
     peak = np.max(g[mask], initial=-np.inf)
-    return tuple((float(x), float(peak - y) if ok else None) for x, y, ok in zip(c, g, mask))
+    return tuple(
+        PenaltyPoint(float(x), float(peak - y) if ok else None) for x, y, ok in zip(c, g, mask)
+    )
 
 
 def pre_emphasis(sweep):
     """Advisory per-carrier launch-power offsets that would flatten the slot."""
     return tuple(
-        (c, min(p, PRE_EMPHASIS_CLIP_DB))
-        for c, p in _penalties(_reference_curve(sweep))
-        if p is not None
+        EmphasisPoint(p.carrier, min(p.penalty_db, PRE_EMPHASIS_CLIP_DB))
+        for p in _penalties(_reference_curve(sweep))
+        if p.penalty_db is not None
     )
 
 

@@ -41,7 +41,6 @@ def _ber_hybrid(snr_lin):
 @dataclass(frozen=True)
 class ModulationFormat:
     name: str
-    bits_per_symbol: int
     # Unclipped BER at a linear in-band SNR.
     ber: Callable[[float], float] = field(repr=False)
 
@@ -62,9 +61,9 @@ class CatalogEntry:
             raise ValueError("net_data_rate_gbps must be > 0")
 
 
-DP_QPSK = ModulationFormat("DP-QPSK", 4, _ber_qpsk)
-DP_P_16QAM = ModulationFormat("DP-P-16QAM", 6, _ber_hybrid)
-DP_16QAM = ModulationFormat("DP-16QAM", 8, _ber_qam16)
+DP_QPSK = ModulationFormat("DP-QPSK", _ber_qpsk)
+DP_P_16QAM = ModulationFormat("DP-P-16QAM", _ber_hybrid)
+DP_16QAM = ModulationFormat("DP-16QAM", _ber_qam16)
 
 # Probe set from the field campaign plus the 300G planning modes and the
 # 100G low-rate mode used in the mixed crosstalk test.

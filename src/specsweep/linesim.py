@@ -9,7 +9,7 @@ that the sweep engine and diagnosis are allowed to see.
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
@@ -76,13 +76,14 @@ class GsnrProfile:
 
 
 @dataclass(frozen=True)
-class NeighborChannel:
-    """An interfering carrier outside the probed slot."""
+class NeighborChannel(SignalSpectrum):
+    """An interfering carrier outside the probed slot: a spectrum at a power offset."""
 
-    spectrum: SignalSpectrum
+    center: float = field(kw_only=True)
     power_offset_db: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not abs(self.power_offset_db) <= MAX_POWER_OFFSET_DB:
             raise ValueError(
                 f"power_offset_db must be within +/-{MAX_POWER_OFFSET_DB:g}, "
@@ -223,18 +224,6 @@ def _filtered_psd(scenario, spectrum):
     return f, weight, norm, float(norm / s_total)
 
 
-def filtering_penalty_db(scenario, spectrum):
-    """Penalty from truncation of ``spectrum`` by the filter cascade (dB >= 0).
-
-    penalty = -beta * 10 log10(rho) with rho the transmitted power fraction.
-    Returns inf when the signal falls entirely outside the cascade.
-    """
-    *_, rho = _filtered_psd(scenario, spectrum)
-    if rho <= 0.0:
-        return float("inf")
-    return -scenario.filtering_exponent * 10.0 * np.log10(min(rho, 1.0))
-
-
 def crosstalk_lin(scenario, victim):
     """Aggregate linear crosstalk term from all neighbors.
 
@@ -244,14 +233,9 @@ def crosstalk_lin(scenario, victim):
     """
     total = 0.0
     for nb in scenario.neighbors:
-        ratio = (nb.spectrum.symbol_rate / victim.symbol_rate) * 10.0 ** (
-            nb.power_offset_db / 10.0
-        )
+        ratio = (nb.symbol_rate / victim.symbol_rate) * 10.0 ** (nb.power_offset_db / 10.0)
         chi = overlap_coefficient(
-            victim,
-            nb.spectrum,
-            abs(nb.spectrum.center - victim.center),
-            resolution=scenario.grid.resolution,
+            victim, nb, abs(nb.center - victim.center), resolution=scenario.grid.resolution
         )
         total += ratio * chi
     return scenario.crosstalk_coupling * total
@@ -404,9 +388,9 @@ class CrosstalkBench:
             )
         neighbors = tuple(
             NeighborChannel(
-                self._probes[k].spectrum_at(self.victim_carrier(k, central_offset))
+                p.symbol_rate, p.roll_off, center=self.victim_carrier(k, central_offset)
             )
-            for k in range(self.slot_count)
+            for k, p in enumerate(self._probes)
             if k != victim_index
         )
         channels = list(self._scenario.media_channels)

@@ -5,9 +5,10 @@ fields of its class, the annotations give their types, and a field without
 a default is required (a required list must not be empty). ``_parse`` and
 ``_dump`` walk those fields; hand-written code is left only where the file
 and the model differ: the file's top level with its sweep and recommend
-sections, flat neighbor channels and catalog entries given by name. Unknown
-fields are rejected, and errors carry a dotted field path (e.g.
-``scenario.filters[0].order``) so fixture typos fail loudly.
+sections, and catalog entries given by name. Unknown fields are rejected,
+and errors carry a dotted field path (e.g. ``scenario.filters[0].order``)
+so fixture typos fail loudly. A diagnosis report is likewise its
+dataclasses, key for field.
 """
 
 import dataclasses
@@ -23,9 +24,8 @@ from typing import Optional, Tuple
 
 from specsweep.errors import ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
-from specsweep.linesim import NeighborChannel, ProbeConfig, Scenario
+from specsweep.linesim import ProbeConfig, Scenario
 from specsweep.probe import SweepPlan
-from specsweep.spectral import SignalSpectrum
 
 SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
@@ -105,16 +105,7 @@ def _catalog_entry(name, path):
         raise ScenarioFormatError(path, f"unknown catalog entry {name!r}") from None
 
 
-def _neighbor(obj, path):
-    """A neighbor is flat in the file: its spectrum's fields beside power_offset_db."""
-    # Any key passes here: unknown ones fail in the spectrum's parse.
-    _check_keys(obj, path, allowed=obj, required=("center",))
-    spectrum = {k: v for k, v in obj.items() if k != "power_offset_db"}
-    offset = {k: v for k, v in obj.items() if k == "power_offset_db"}
-    return _parse(NeighborChannel, offset, path, spectrum=_parse(SignalSpectrum, spectrum, path))
-
-
-_LEAVES = {float: _float, int: _int, CatalogEntry: _catalog_entry, NeighborChannel: _neighbor}
+_LEAVES = {float: _float, int: _int, CatalogEntry: _catalog_entry}
 
 
 def _converter(tp):
@@ -227,8 +218,6 @@ def _dump(obj):
         return [_dump(item) for item in obj]
     if isinstance(obj, CatalogEntry):
         return obj.name
-    if isinstance(obj, NeighborChannel):
-        return {**_dump(obj.spectrum), "power_offset_db": obj.power_offset_db}
     values = ((name, getattr(obj, name)) for name in _fields(type(obj)))
     return {name: _dump(val) for name, val in values if val is not None}
 
@@ -341,41 +330,6 @@ def crosstalk_result_csv(scan):
     return "\n".join(lines) + "\n"
 
 
-def carrier_plan_dict(plan):
-    return {
-        "guard_ghz": plan.guard_ghz,
-        "assignments": [
-            {
-                "center_ghz": a.center_ghz,
-                "entry": a.entry_name,
-                "predicted_margin_db": a.predicted_margin_db,
-                "occupied_width_ghz": a.occupied_width_ghz,
-            }
-            for a in plan.assignments
-        ],
-        "shortfalls_db": dict(plan.shortfalls_db),
-    }
-
-
 def diagnosis_report_dict(report):
-    def section(obj):
-        return None if obj is None else dataclasses.asdict(obj)
-
-    plan = report.carrier_plan
-    return {
-        "effective_bandwidth": section(report.effective_bandwidth),
-        "center_offset": section(report.center_offset),
-        "tilt_db": report.tilt_db,
-        "ripple_pp_db": report.ripple_pp_db,
-        "per_probe_penalty_curves": {
-            probe: [{"carrier": c, "penalty_db": p} for c, p in pts]
-            for probe, pts in report.per_probe_penalty_curves.items()
-        },
-        "carrier_plan": None if plan is None else carrier_plan_dict(plan),
-        "guard_band_recommendations": {
-            pair: dataclasses.asdict(g) for pair, g in report.guard_band_recommendations.items()
-        },
-        "pre_emphasis": [
-            {"carrier": f, "offset_db": o} for f, o in report.pre_emphasis
-        ],
-    }
+    """A DiagnosisReport as plain JSON data: its field names are the report's keys."""
+    return dataclasses.asdict(report)

@@ -20,10 +20,12 @@ DEFAULT_ROLL_OFF = 0.19
 MAX_GRID_POINTS = 1_000_000
 # Upper bound on a filter's super-Gaussian order, far above any real passband.
 MAX_FILTER_ORDER = 100
-# Bounds on carrier and filter centers and on ripple amplitudes, checked when
-# an object is built: beyond them the model's arithmetic overflows.
+# Bounds on carrier and filter centers, grid ends, and ripple amplitudes and
+# periods, checked when an object is built: beyond them the model's
+# arithmetic overflows.
 MAX_CENTER_GHZ = 1e6
 MAX_RIPPLE_DB = 100.0
+MIN_RIPPLE_PERIOD_GHZ = 1e-3
 LN2 = np.log(2.0)
 
 
@@ -52,6 +54,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.start >= self.stop:
             raise ValueError(f"grid start {self.start} must be < stop {self.stop}")
+        if not (-MAX_CENTER_GHZ <= self.start and self.stop <= MAX_CENTER_GHZ):
+            raise ValueError(f"grid start and stop must be within +/-{MAX_CENTER_GHZ:g} GHz")
         if self.resolution <= 0:
             raise ValueError(f"grid resolution must be > 0, got {self.resolution}")
         if not (self.stop - self.start) / self.resolution < MAX_GRID_POINTS:
@@ -124,8 +128,10 @@ class Ripple:
             raise ValueError(
                 f"ripple amplitude_db must be in [0, {MAX_RIPPLE_DB:g}], got {self.amplitude_db}"
             )
-        if self.period_ghz <= 0:
-            raise ValueError("ripple period_ghz must be > 0")
+        if not self.period_ghz >= MIN_RIPPLE_PERIOD_GHZ:
+            raise ValueError(
+                f"ripple period_ghz must be >= {MIN_RIPPLE_PERIOD_GHZ:g}, got {self.period_ghz}"
+            )
 
 
 @dataclass(frozen=True)

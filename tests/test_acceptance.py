@@ -143,12 +143,12 @@ def test_criterion_05_route_c_tilt_and_split():
 
     catalog = [catalog_entry(name) for name in sf.recommend_catalog]
     plan = recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
-    hybrids = [a for a in plan.assignments if a.entry_name == "300G-69GBd-DP-P-16QAM"]
-    qams = [a for a in plan.assignments if a.entry_name == "300G-52GBd-DP-16QAM"]
+    hybrids = [a for a in plan.assignments if a.entry == "300G-69GBd-DP-P-16QAM"]
+    qams = [a for a in plan.assignments if a.entry == "300G-52GBd-DP-16QAM"]
     assert hybrids and qams
     assert max(a.center_ghz for a in hybrids) < min(a.center_ghz for a in qams)
-    assert plan.assignments[0].entry_name == "300G-69GBd-DP-P-16QAM"
-    assert plan.assignments[-1].entry_name == "300G-52GBd-DP-16QAM"
+    assert plan.assignments[0].entry == "300G-69GBd-DP-P-16QAM"
+    assert plan.assignments[-1].entry == "300G-52GBd-DP-16QAM"
 
 
 def test_criterion_06_crosstalk_regression_all_69():

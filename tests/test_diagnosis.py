@@ -173,7 +173,7 @@ def test_recommender_flat_channel_packs_best_entry():
     assert plan.assignments
     # Uniformly high GSNR: the tie-break picks the narrower 52 GBd entry
     # everywhere, and every placed carrier has non-negative margin.
-    assert {a.entry_name for a in plan.assignments} == {"300G-52GBd-DP-16QAM"}
+    assert {a.entry for a in plan.assignments} == {"300G-52GBd-DP-16QAM"}
     assert all(a.predicted_margin_db >= 0.0 for a in plan.assignments)
 
 
@@ -181,8 +181,8 @@ def test_recommender_splits_tilted_slot():
     sweep = make_sweep(base=20.6, width=400.0, tilt=2.5)
     catalog = [catalog_entry("300G-69GBd-DP-P-16QAM"), catalog_entry("300G-52GBd-DP-16QAM")]
     plan = recommend_carriers(sweep, catalog)
-    hybrids = [a for a in plan.assignments if a.entry_name == "300G-69GBd-DP-P-16QAM"]
-    qams = [a for a in plan.assignments if a.entry_name == "300G-52GBd-DP-16QAM"]
+    hybrids = [a for a in plan.assignments if a.entry == "300G-69GBd-DP-P-16QAM"]
+    qams = [a for a in plan.assignments if a.entry == "300G-52GBd-DP-16QAM"]
     assert hybrids and qams
     assert max(a.center_ghz for a in hybrids) < min(a.center_ghz for a in qams)
 
@@ -248,13 +248,13 @@ def test_guard_band_monotonicity():
 
 def test_pre_emphasis_flat_and_tilted():
     flat = make_sweep(base=20.0, width=400.0)
-    assert all(off == 0.0 for _, off in pre_emphasis(flat))
+    assert all(p.offset_db == 0.0 for p in pre_emphasis(flat))
     tilted = make_sweep(base=20.6, width=400.0, tilt=2.5)
-    offs = dict(pre_emphasis(tilted))
+    offs = {p.carrier: p.offset_db for p in pre_emphasis(tilted)}
     assert offs[200.0] == pytest.approx(0.0, abs=0.05)
     assert offs[-200.0] == pytest.approx(2.5, abs=0.15)
     steep = make_sweep(base=21.0, width=400.0, tilt=7.0, probes=(QPSK69,))
-    assert max(off for _, off in pre_emphasis(steep)) == 3.0
+    assert max(p.offset_db for p in pre_emphasis(steep)) == 3.0
 
 
 def test_diagnose_aggregates():

@@ -15,10 +15,13 @@ import random
 import pytest
 
 from specsweep import cli, fixture_path
-from specsweep.spectral import MAX_CENTER_GHZ, MAX_RIPPLE_DB
+from specsweep.spectral import MAX_CENTER_GHZ, MAX_RIPPLE_DB, MIN_RIPPLE_PERIOD_GHZ
 
 COMMANDS = ("validate", "sweep", "diagnose", "crosstalk", "recommend")
-HOSTILE = (1e308, -1e308, 0, 0.0, 1e-300, -1e-300, 10**400, -(10**400), "x", None, True, [], {})
+HOSTILE = (
+    1e308, -1e308, 0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324, 10**400, -(10**400),
+    "x", None, True, [], {},
+)
 RANDOM_CASES = 32
 
 
@@ -106,6 +109,17 @@ FIXED_CASES = [
     ("route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), MAX_RIPPLE_DB, 0),
     ("route_c.json", ("scenario", "gsnr_profile", "ripple_components"),
      [{"amplitude_db": MAX_RIPPLE_DB, "period_ghz": 50.0}], 0),
+    ("route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), 5e-324, 2),
+    ("route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), MIN_RIPPLE_PERIOD_GHZ, 0),
+    ("route_c.json", ("scenario", "gsnr_profile"),
+     {"base_gsnr_db": 20.6, "ripple_components": [{"amplitude_db": 1.0, "period_ghz": 5e-324}]}, 2),
+    ("route_c.json", ("scenario", "gsnr_profile"),
+     {"base_gsnr_db": 20.6,
+      "ripple_components": [{"amplitude_db": 1.0, "period_ghz": MIN_RIPPLE_PERIOD_GHZ}]}, 0),
+    ("route_a.json", ("scenario", "grid"),
+     {"start": -50.0, "stop": 1.5e308, "resolution": 1e308}, 2),
+    ("route_b.json", ("scenario", "grid"),
+     {"start": -MAX_CENTER_GHZ, "stop": MAX_CENTER_GHZ, "resolution": 2.5}, 0),
 ]
 
 

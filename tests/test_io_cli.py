@@ -29,7 +29,7 @@ from specsweep.scenario_io import (
     scenario_hash,
     serialize_scenario_file,
 )
-from specsweep.spectral import FilterElement, FrequencyGrid, Ripple, SignalSpectrum
+from specsweep.spectral import FilterElement, FrequencyGrid, Ripple
 
 FIXTURES = ["route_a.json", "route_b.json", "route_c.json", "xtalk_5slot.json", "xtalk_mixed.json"]
 # Every documented command on every fixture it applies to.
@@ -151,8 +151,10 @@ def random_scenario_file(rng):
         ),
         neighbors=tuple(
             NeighborChannel(
-                SignalSpectrum(num(10.0, 70.0), num(0.0, 1.0), num(-300.0, 300.0)),
-                num(-10.0, 10.0),
+                num(10.0, 70.0),
+                num(0.0, 1.0),
+                center=num(-300.0, 300.0),
+                power_offset_db=num(-10.0, 10.0),
             )
             for _ in range(rng.randint(0, 2))
         ),
@@ -218,6 +220,43 @@ def test_unknown_field_rejected_with_path():
         assert err.value.path.endswith(key) and err.value.message == "unknown field"
 
 
+NEIGHBOR = {"symbol_rate": 34.0, "center": 90.0, "power_offset_db": -3.0}
+
+
+@pytest.mark.parametrize(
+    "neighbor,path,message",
+    [
+        ({"symbol_rate": 34.0}, ".center", "missing required field"),
+        ({"center": 90.0}, ".symbol_rate", "missing required field"),
+        ({**NEIGHBOR, "phase": 1.0}, ".phase", "unknown field"),
+        ({"center": 90.0, "spectrum": {"symbol_rate": 34.0}}, ".spectrum", "unknown field"),
+        ({**NEIGHBOR, "roll_off": 2}, "", "roll_off must be in [0, 1], got 2.0"),
+        (
+            {**NEIGHBOR, "power_offset_db": 1e3},
+            "",
+            "power_offset_db must be within +/-100, got 1000.0",
+        ),
+        (34.0, "", "expected an object, got float"),
+    ],
+    ids=["no-center", "no-symbol-rate", "unknown", "nested", "roll-off", "power", "not-object"],
+)
+def test_neighbor_rejected_with_path(neighbor, path, message):
+    doc = minimal_doc()
+    doc["scenario"]["neighbors"] = [neighbor]
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_file(doc)
+    assert err.value.path == "$.scenario.neighbors[0]" + path
+    assert err.value.message == message
+
+
+def test_valid_neighbor_keeps_its_hash():
+    doc = minimal_doc()
+    doc["scenario"]["neighbors"] = [NEIGHBOR]
+    sf = parse_scenario_file(doc)
+    assert serialize_scenario_file(sf)["scenario"]["neighbors"] == [{**NEIGHBOR, "roll_off": 0.19}]
+    assert scenario_hash(sf) == "39ca03df9d1d314d"
+
+
 def test_invalid_values_rejected():
     doc = minimal_doc()
     doc["scenario"]["filters"] = [{"center": 0.0, "bandwidth_3db": -5.0}]
@@ -271,8 +310,8 @@ def test_invalid_values_rejected():
 
 
 def test_readme_bounds_table_names_every_max_constant():
-    """Each module-level MAX_* constant of the package is a row of README's
-    bounds table beside the module that defines it, and no row is stale."""
+    """Each module-level MAX_* and MIN_* constant of the package is a row of
+    README's bounds table beside the module that defines it, and no row is stale."""
     package = Path(specsweep.__file__).parent
     defined = {
         (target.id, module.stem)
@@ -280,11 +319,37 @@ def test_readme_bounds_table_names_every_max_constant():
         for node in ast.parse(module.read_text()).body
         if isinstance(node, ast.Assign)
         for target in node.targets
-        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+        if isinstance(target, ast.Name) and target.id.startswith(("MAX_", "MIN_"))
     }
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    documented = set(re.findall(r"^\| `(MAX_\w+)` \| `(\w+)` \|", readme, re.MULTILINE))
+    documented = set(re.findall(r"^\| `(M(?:AX|IN)_\w+)` \| `(\w+)` \|", readme, re.MULTILINE))
     assert defined and documented == defined
+
+
+def test_bench_trace_sites_exist():
+    """Every attribute that bench/spans.py wraps for a traced run is still defined
+    where it is looked up, so a refactor cannot make ``--trace 1`` crash."""
+    bench = Path(__file__).parents[1] / "bench"
+    sites = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((bench / "spans.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["SITES"]
+    )
+    workloads = {
+        node.name
+        for node in ast.parse((bench / "workloads.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert sites
+    for path, attr, _ in sites:
+        module, _, cls = path.partition(":")
+        if module == "workloads":
+            assert attr in workloads, f"bench/workloads.py defines no {attr}"
+            continue
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        assert attr in vars(owner), f"{path} has no attribute {attr}"
 
 
 def test_missing_required_field():

@@ -24,7 +24,6 @@ from specsweep.linesim import (
     ProbeConfig,
     Scenario,
     crosstalk_lin,
-    filtering_penalty_db,
     local_gsnr_db,
     measure,
     open_session,
@@ -71,6 +70,12 @@ def test_local_gsnr_profile():
     assert local_gsnr_db(rippled, np.array([10.0]))[0] == pytest.approx(17.5)  # sin peak at P/4
 
 
+def filtering_penalty_db(scenario, spectrum):
+    """-beta * 10 log10(rho), with rho the power fraction the filter cascade passes."""
+    *_, rho = _filtered_psd(scenario, spectrum)
+    return -scenario.filtering_exponent * 10.0 * np.log10(min(rho, 1.0))
+
+
 def test_filtering_penalty_empty_cascade():
     assert filtering_penalty_db(flat_scenario(), SignalSpectrum(34.0, 0.19)) == 0.0
 
@@ -94,13 +99,13 @@ def test_filtering_penalty_grows_with_offset():
 def test_crosstalk_lin_terms():
     victim = SignalSpectrum(69.0, 0.19, center=0.0)
     assert crosstalk_lin(flat_scenario(), victim) == 0.0
-    twin = flat_scenario(neighbors=(NeighborChannel(SignalSpectrum(69.0, 0.19, 0.0)),))
+    twin = flat_scenario(neighbors=(NeighborChannel(69.0, 0.19, center=0.0),))
     assert crosstalk_lin(twin, victim) == pytest.approx(1.0, abs=1e-9)
-    one = flat_scenario(neighbors=(NeighborChannel(SignalSpectrum(69.0, 0.19, 75.0)),))
+    one = flat_scenario(neighbors=(NeighborChannel(69.0, 0.19, center=75.0),))
     both = flat_scenario(
         neighbors=(
-            NeighborChannel(SignalSpectrum(69.0, 0.19, 75.0)),
-            NeighborChannel(SignalSpectrum(69.0, 0.19, -75.0)),
+            NeighborChannel(69.0, 0.19, center=75.0),
+            NeighborChannel(69.0, 0.19, center=-75.0),
         )
     )
     x1 = crosstalk_lin(one, victim)
@@ -122,7 +127,7 @@ def test_measure_crosstalk_composition():
     """A co-located twin with kappa = 1/g0 exactly halves the linear GSNR."""
     sc = flat_scenario(
         20.0,
-        neighbors=(NeighborChannel(SignalSpectrum(69.0, 0.19, 0.0)),),
+        neighbors=(NeighborChannel(69.0, 0.19, center=0.0),),
         crosstalk_coupling=0.01,  # = 1/g0_lin -> 1/g = 2/g0
     )
     res = measure(sc, 0.0, QPSK69)
@@ -174,7 +179,7 @@ def test_impairment_monotonicity():
     base = measure(flat_scenario(17.0), 0.0, QAM34).q_db
     with_filter = flat_scenario(17.0, filters=(FilterElement(0.0, 60.0, order=2),))
     with_neigh = flat_scenario(
-        17.0, neighbors=(NeighborChannel(SignalSpectrum(34.0, 0.19, 30.0)),)
+        17.0, neighbors=(NeighborChannel(34.0, 0.19, center=30.0),)
     )
     assert measure(with_filter, 0.0, QAM34).q_db < base
     impaired = measure(with_neigh, 0.0, QAM34)
@@ -299,7 +304,7 @@ def test_measure_equals_uncached_full_grid_reference():
         flat_scenario(18.0, media_channels=(MediaChannel(0.0, 190.0),), grid=narrow_grid),
         flat_scenario(
             20.0,
-            neighbors=(NeighborChannel(SignalSpectrum(46.0, 0.19, 75.0)),),
+            neighbors=(NeighborChannel(46.0, 0.19, center=75.0),),
             crosstalk_coupling=0.05,
             measurement_noise_sigma_db=0.2,
         ),
