@@ -18,9 +18,9 @@ from dataclasses import replace
 import numpy as np
 
 from specsweep import diagnosis, load_fixture
-from specsweep.formats import bisect, catalog_entry
+from specsweep.formats import bisect
 from specsweep.linesim import CrosstalkBench, open_session
-from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
+from specsweep.probe import crosstalk_scan, run_sweep
 from specsweep.spectral import SignalSpectrum, overlap_coefficient
 
 
@@ -53,8 +53,7 @@ def fit_kappa(target_fn, key, target, lo, hi, tol=1e-5):
 
 def fixture_sweep(fixture):
     sf = load_fixture(fixture)
-    plan = SweepPlan(sf.scenario.media_channels[0], sf.probes, sf.sweep_step, sf.trials_per_point)
-    return sf, run_sweep(open_session(sf.scenario), plan)
+    return sf, run_sweep(open_session(sf.scenario), sf.plan)
 
 
 def route_a_check():
@@ -78,8 +77,7 @@ def route_a_check():
 def route_c_check():
     sf, sweep = fixture_sweep("route_c.json")
     tilt = diagnosis.estimate_tilt_ripple(sweep)
-    catalog = [catalog_entry(name) for name in sf.recommend_catalog]
-    plan = diagnosis.recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
+    plan = diagnosis.recommend_carriers(sweep, sf.catalog, sf.recommend_guard_ghz)
     return {
         "tilt": round(tilt.tilt_db, 3),
         "ripple_pp": round(tilt.ripple_pp_db, 3),

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation/configuration error, 3 undiagnosable
 sweep data, 4 I/O error. All outputs are deterministic given the input file
-(the random seed lives inside the scenario) and written atomically.
+(the random seed lives inside the scenario) and written atomically. Every
+command runs one pipeline: ``main`` loads the scenario file, hands it to the
+command's row of ``COMMANDS`` and emits the report sections it returns.
 """
 
 import argparse
@@ -12,14 +14,9 @@ from dataclasses import asdict, replace
 
 from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
-from specsweep.errors import (
-    ConfigurationError,
-    ScenarioFormatError,
-    UndiagnosableError,
-)
-from specsweep.formats import catalog_entry
+from specsweep.errors import ConfigurationError, ScenarioFormatError, UndiagnosableError
 from specsweep.linesim import CrosstalkBench, open_session
-from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
+from specsweep.probe import crosstalk_scan, run_sweep
 from specsweep.scenario_io import (
     CrosstalkOffsets,
     crosstalk_result_csv,
@@ -47,7 +44,7 @@ def _load(args):
         sf = replace(sf, sweep_step=args.step)
     if getattr(args, "trials", None) is not None:
         sf = replace(sf, trials_per_point=args.trials)
-    _sweep_plan(sf)  # the overrides get the checks of the file's sweep section
+    sf.plan  # the overrides get the checks of the file's sweep section
     return sf
 
 
@@ -68,41 +65,23 @@ def _emit(args, sf, json_body, csv_text):
         sys.stdout.write(text)
 
 
-def _sweep_plan(sf):
-    return SweepPlan(
-        slot=sf.scenario.media_channels[0],
-        probes=sf.probes,
-        step=sf.sweep_step,
-        trials_per_point=sf.trials_per_point,
-    )
-
-
 def _sweep(sf):
-    return run_sweep(open_session(sf.scenario), _sweep_plan(sf))
+    return run_sweep(open_session(sf.scenario), sf.plan)
 
 
-def cmd_sweep(args):
-    sf = _load(args)
+def cmd_sweep(sf):
     sweep = _sweep(sf)
-    _emit(args, sf, {"sweep": sweep_result_dict(sweep)}, sweep_result_csv(sweep))
-    return EXIT_OK
+    return {"sweep": sweep_result_dict(sweep)}, sweep_result_csv(sweep)
 
 
-def cmd_diagnose(args):
-    sf = _load(args)
+def cmd_diagnose(sf):
     sweep = _sweep(sf)
-    catalog = [catalog_entry(name) for name in sf.recommend_catalog]
-    report = diagnose(sweep, catalog=catalog or None, guard_ghz=sf.recommend_guard_ghz)
-    body = {
-        "sweep": sweep_result_dict(sweep),
-        "diagnosis": diagnosis_report_dict(report),
-    }
-    _emit(args, sf, body, sweep_result_csv(sweep))
-    return EXIT_OK
+    report = diagnose(sweep, catalog=sf.catalog or None, guard_ghz=sf.recommend_guard_ghz)
+    body = {"sweep": sweep_result_dict(sweep), "diagnosis": diagnosis_report_dict(report)}
+    return body, sweep_result_csv(sweep)
 
 
-def cmd_crosstalk(args):
-    sf = _load(args)
+def cmd_crosstalk(sf):
     if not sf.slot_probes:
         raise ConfigurationError(
             "crosstalk needs a scenario file with slot_probes (one per media channel)"
@@ -114,32 +93,28 @@ def cmd_crosstalk(args):
         n = int(bench.middle_slot.width / 2.0 / step)
         offsets = CrosstalkOffsets(-n * step, n * step, step)
     scan = crosstalk_scan(bench, offsets.values(), trials=sf.trials_per_point)
-    _emit(
-        args,
-        sf,
-        {"crosstalk": crosstalk_result_dict(scan)},
-        crosstalk_result_csv(scan),
-    )
-    return EXIT_OK
+    return {"crosstalk": crosstalk_result_dict(scan)}, crosstalk_result_csv(scan)
 
 
-def cmd_recommend(args):
-    sf = _load(args)
+def cmd_recommend(sf):
     if not sf.recommend_catalog:
         raise ConfigurationError(
             "recommend needs a scenario file with a recommend.catalog section"
         )
     sweep = _sweep(sf)
-    catalog = [catalog_entry(name) for name in sf.recommend_catalog]
-    plan = recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
-    _emit(args, sf, {"carrier_plan": asdict(plan)}, sweep_result_csv(sweep))
-    return EXIT_OK
+    plan = recommend_carriers(sweep, sf.catalog, sf.recommend_guard_ghz)
+    return {"carrier_plan": asdict(plan)}, sweep_result_csv(sweep)
 
 
-def cmd_validate(args):
-    sf = _load(args)
-    sys.stdout.write(f"ok {scenario_hash(sf)}\n")
-    return EXIT_OK
+# Name -> (report function of a loaded ScenarioFile, help text). validate
+# has no report: it prints the scenario hash once the file has loaded.
+COMMANDS = {
+    "sweep": (cmd_sweep, "run the frequency sweep for every probe"),
+    "diagnose": (cmd_diagnose, "sweep and produce a diagnosis report"),
+    "crosstalk": (cmd_crosstalk, "central-carrier crosstalk scan"),
+    "recommend": (cmd_recommend, "greedy carrier placement plan"),
+    "validate": (None, "strictly validate a scenario file"),
+}
 
 
 def build_parser():
@@ -148,43 +123,29 @@ def build_parser():
         description="Black-box sweep-and-probe assessment of optical spectrum services.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (run, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
+        if run is None:
+            continue
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--step", type=float, help="override sweep step (GHz)")
         p.add_argument("--trials", type=int, help="override trials per point")
         p.add_argument("--seed-override", type=int, help="override scenario seed")
-
-    p = sub.add_parser("sweep", help="run the frequency sweep for every probe")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("diagnose", help="sweep and produce a diagnosis report")
-    common(p)
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("crosstalk", help="central-carrier crosstalk scan")
-    common(p)
-    p.set_defaults(func=cmd_crosstalk)
-
-    p = sub.add_parser("recommend", help="greedy carrier placement plan")
-    common(p)
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("validate", help="strictly validate a scenario file")
-    p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.set_defaults(func=cmd_validate)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = COMMANDS[args.command][0]
     try:
-        return args.func(args)
+        sf = _load(args)
+        if run is None:
+            sys.stdout.write(f"ok {scenario_hash(sf)}\n")
+        else:
+            _emit(args, sf, *run(sf))
+        return EXIT_OK
     except (ScenarioFormatError, ConfigurationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

@@ -130,14 +130,14 @@ def normalize_gsnr(snr_db, symbol_rate):
     """In-band SNR -> GSNR in the 12.5 GHz reference bandwidth."""
     if symbol_rate <= 0:
         raise ValueError("symbol_rate must be > 0")
-    return snr_db + 10.0 * np.log10(symbol_rate / REFERENCE_BANDWIDTH_GHZ)
+    return float(snr_db + 10.0 * np.log10(symbol_rate / REFERENCE_BANDWIDTH_GHZ))
 
 
 def denormalize_gsnr(gsnr_db, symbol_rate):
     """Inverse of normalize_gsnr."""
     if symbol_rate <= 0:
         raise ValueError("symbol_rate must be > 0")
-    return gsnr_db - 10.0 * np.log10(symbol_rate / REFERENCE_BANDWIDTH_GHZ)
+    return float(gsnr_db - 10.0 * np.log10(symbol_rate / REFERENCE_BANDWIDTH_GHZ))
 
 
 def required_gsnr(entry):

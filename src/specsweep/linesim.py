@@ -345,7 +345,7 @@ class CrosstalkBench:
     first (the probed slot, as in a sweep) and every other slot's carrier as
     a neighbor channel; the middle slot's carrier can be offset to emulate a
     drifting customer. The sweep engine only ever sees the sessions this
-    bench hands out.
+    bench hands out, its ``probes`` (one per slot) and its ``middle_slot``.
     """
 
     def __init__(self, scenario, slot_probes):
@@ -356,26 +356,13 @@ class CrosstalkBench:
         if len(slot_probes) < 3:
             raise ConfigurationError("crosstalk bench needs at least 3 slots")
         self._scenario = scenario
-        self._probes = tuple(slot_probes)
-
-    @property
-    def slot_count(self):
-        return len(self._probes)
-
-    @property
-    def middle_index(self):
-        return len(self._probes) // 2
-
-    @property
-    def middle_slot(self):
-        return self._scenario.media_channels[self.middle_index]
-
-    def probe_for(self, index):
-        return self._probes[index]
+        self._middle_index = len(slot_probes) // 2
+        self.probes = tuple(slot_probes)
+        self.middle_slot = scenario.media_channels[self._middle_index]
 
     def victim_carrier(self, victim_index, central_offset):
         center = self._scenario.media_channels[victim_index].center
-        if victim_index == self.middle_index:
+        if victim_index == self._middle_index:
             return center + central_offset
         return center
 
@@ -390,7 +377,7 @@ class CrosstalkBench:
             NeighborChannel(
                 p.symbol_rate, p.roll_off, center=self.victim_carrier(k, central_offset)
             )
-            for k, p in enumerate(self._probes)
+            for k, p in enumerate(self.probes)
             if k != victim_index
         )
         channels = list(self._scenario.media_channels)

@@ -165,8 +165,7 @@ def crosstalk_scan(bench, offsets, trials=1):
                 f"offset {off} GHz outside the middle slot half-width {half} GHz"
             )
     channels = []
-    for idx in range(bench.slot_count):
-        probe = bench.probe_for(idx)
+    for idx, probe in enumerate(bench.probes):
         baseline = probe_point(
             bench.session(idx, 0.0), bench.victim_carrier(idx, 0.0), probe, trials
         ).gsnr_db

@@ -66,6 +66,18 @@ class ScenarioFile:
     recommend_catalog: Tuple[str, ...] = ()
     recommend_guard_ghz: float = 0.0
 
+    @property
+    def plan(self):
+        """The sweep of the file's probes across its first media channel."""
+        return SweepPlan(
+            self.scenario.media_channels[0], self.probes, self.sweep_step, self.trials_per_point
+        )
+
+    @property
+    def catalog(self):
+        """The recommend catalog's entries."""
+        return tuple(catalog_entry(name) for name in self.recommend_catalog)
+
 
 def _check_keys(obj, path, allowed, required=()):
     if not isinstance(obj, dict):
@@ -156,13 +168,14 @@ def _parse(cls, obj, path, **given):
         raise ScenarioFormatError(path, str(exc)) from exc
 
 
-def parse_scenario_file(data, path="$"):
+def parse_scenario_file(data):
     """Validate an already-decoded JSON document into a ScenarioFile.
 
     Its top level is not a ScenarioFile: the sweep and recommend sections
     group the sweep_* and recommend_* fields, and the sweep is checked as
     a SweepPlan over the first media channel.
     """
+    path = "$"
     sections = ("schema_version", "scenario", "probes", "sweep", "slot_probes")
     _check_keys(data, path, (*sections, "crosstalk_offsets", "recommend"), sections[:3])
     fields = _fields(ScenarioFile)

@@ -48,13 +48,7 @@ PROBES_200G = tuple(
 
 def sweep_fixture(name):
     sf = load_fixture(name)
-    plan = SweepPlan(
-        sf.scenario.media_channels[0],
-        sf.probes,
-        step=sf.sweep_step,
-        trials_per_point=sf.trials_per_point,
-    )
-    return sf, run_sweep(open_session(sf.scenario), plan)
+    return sf, run_sweep(open_session(sf.scenario), sf.plan)
 
 
 def scan_fixture(name, offsets):
@@ -141,8 +135,7 @@ def test_criterion_05_route_c_tilt_and_split():
     est = estimate_tilt_ripple(sweep)
     assert est.tilt_db == pytest.approx(2.5, abs=0.3)
 
-    catalog = [catalog_entry(name) for name in sf.recommend_catalog]
-    plan = recommend_carriers(sweep, catalog, sf.recommend_guard_ghz)
+    plan = recommend_carriers(sweep, sf.catalog, sf.recommend_guard_ghz)
     hybrids = [a for a in plan.assignments if a.entry == "300G-69GBd-DP-P-16QAM"]
     qams = [a for a in plan.assignments if a.entry == "300G-52GBd-DP-16QAM"]
     assert hybrids and qams

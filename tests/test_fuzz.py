@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from specsweep import cli, fixture_path
+from specsweep import cli, fixture_path, linesim, probe, scenario_io, spectral
 from specsweep.spectral import MAX_CENTER_GHZ, MAX_RIPPLE_DB, MIN_RIPPLE_PERIOD_GHZ
 
 COMMANDS = ("validate", "sweep", "diagnose", "crosstalk", "recommend")
@@ -23,6 +23,15 @@ HOSTILE = (
     "x", None, True, [], {},
 )
 RANDOM_CASES = 32
+# Every parse-time bound, and the values a hair below and above it.
+BOUND_VALUES = tuple(
+    value * factor
+    for module in (spectral, linesim, probe, scenario_io)
+    for name, value in vars(module).items()
+    if name.startswith(("MAX_", "MIN_"))
+    for factor in (1, 1 - 1e-9, 1 + 1e-9)
+)
+TWO_FIELD_CASES = 24
 
 
 def _bases():
@@ -50,16 +59,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _mutated(base, path, value):
+def _mutated(base, *changes):
+    """A copy of ``BASES[base]`` with each (path, value) of ``changes`` set."""
     doc = copy.deepcopy(BASES[base])
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     return doc
 
 
-def _paths(node, prefix=()):
+def _fields(node, prefix=()):
+    """(path, value) of every object field and list item below ``node``, depth first."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
@@ -67,8 +79,8 @@ def _paths(node, prefix=()):
     else:
         return
     for key, child in items:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
+        yield prefix + (key,), child
+        yield from _fields(child, prefix + (key,))
 
 
 def run_commands(doc, tmp_path):
@@ -91,45 +103,72 @@ def run_commands(doc, tmp_path):
 
 
 # Inputs that once ended in a traceback or in a silent exit 0, and values
-# at a parse-time bound, with the exit code validate must give them.
+# at a parse-time bound, with the exit code validate must give them. Each
+# case names its test id, so a new case on a path already listed renames
+# no existing test.
 FIXED_CASES = [
-    ("route_a.json", ("scenario", "filtering_exponent"), 1e308, 0),
-    ("route_a.json", ("scenario", "gsnr_profile", "base_gsnr_db"), -1e308, 0),
-    ("route_c.json", ("scenario", "gsnr_profile", "tilt_db"), 1e308, 0),
-    ("route_a.json", ("scenario", "media_channels", 0, "center"), 1e308, 2),
-    ("route_a.json", ("scenario", "neighbors", 0, "power_offset_db"), 1e308, 2),
-    ("route_a.json", ("scenario", "filters", 0, "order"), 10**400, 2),
-    ("route_c.json", ("recommend", "guard_ghz"), -1e308, 2),
-    ("xtalk_5slot.json", ("scenario", "measurement_noise_sigma_db"), 1e308, 2),
-    ("route_b.json", ("scenario", "crosstalk_coupling"), 10**400, 2),
-    ("route_a.json", ("scenario", "filters", 0, "center"), 1e308, 2),
-    ("route_a.json", ("scenario", "filters", 0, "center"), -1e308, 2),
-    ("route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), 1e308, 2),
-    ("route_a.json", ("scenario", "filters", 0, "center"), MAX_CENTER_GHZ, 0),
-    ("route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), MAX_RIPPLE_DB, 0),
-    ("route_c.json", ("scenario", "gsnr_profile", "ripple_components"),
+    ("scenario.filtering_exponent",
+     "route_a.json", ("scenario", "filtering_exponent"), 1e308, 0),
+    ("scenario.gsnr_profile.base_gsnr_db",
+     "route_a.json", ("scenario", "gsnr_profile", "base_gsnr_db"), -1e308, 0),
+    ("scenario.gsnr_profile.tilt_db",
+     "route_c.json", ("scenario", "gsnr_profile", "tilt_db"), 1e308, 0),
+    ("scenario.media_channels.0.center",
+     "route_a.json", ("scenario", "media_channels", 0, "center"), 1e308, 2),
+    ("scenario.neighbors.0.power_offset_db",
+     "route_a.json", ("scenario", "neighbors", 0, "power_offset_db"), 1e308, 2),
+    ("scenario.filters.0.order",
+     "route_a.json", ("scenario", "filters", 0, "order"), 10**400, 2),
+    ("recommend.guard_ghz",
+     "route_c.json", ("recommend", "guard_ghz"), -1e308, 2),
+    ("scenario.measurement_noise_sigma_db",
+     "xtalk_5slot.json", ("scenario", "measurement_noise_sigma_db"), 1e308, 2),
+    ("scenario.crosstalk_coupling",
+     "route_b.json", ("scenario", "crosstalk_coupling"), 10**400, 2),
+    ("scenario.filters.0.center0",
+     "route_a.json", ("scenario", "filters", 0, "center"), 1e308, 2),
+    ("scenario.filters.0.center1",
+     "route_a.json", ("scenario", "filters", 0, "center"), -1e308, 2),
+    ("scenario.filters.0.ripple.amplitude_db0",
+     "route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), 1e308, 2),
+    ("scenario.filters.0.center2",
+     "route_a.json", ("scenario", "filters", 0, "center"), MAX_CENTER_GHZ, 0),
+    ("scenario.filters.0.ripple.amplitude_db1",
+     "route_a.json", ("scenario", "filters", 0, "ripple", "amplitude_db"), MAX_RIPPLE_DB, 0),
+    ("scenario.gsnr_profile.ripple_components",
+     "route_c.json", ("scenario", "gsnr_profile", "ripple_components"),
      [{"amplitude_db": MAX_RIPPLE_DB, "period_ghz": 50.0}], 0),
-    ("route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), 5e-324, 2),
-    ("route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), MIN_RIPPLE_PERIOD_GHZ, 0),
-    ("route_c.json", ("scenario", "gsnr_profile"),
+    ("scenario.filters.0.ripple.period_ghz0",
+     "route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), 5e-324, 2),
+    ("scenario.filters.0.ripple.period_ghz1",
+     "route_a.json", ("scenario", "filters", 0, "ripple", "period_ghz"), MIN_RIPPLE_PERIOD_GHZ, 0),
+    ("scenario.gsnr_profile0",
+     "route_c.json", ("scenario", "gsnr_profile"),
      {"base_gsnr_db": 20.6, "ripple_components": [{"amplitude_db": 1.0, "period_ghz": 5e-324}]}, 2),
-    ("route_c.json", ("scenario", "gsnr_profile"),
+    ("scenario.gsnr_profile1",
+     "route_c.json", ("scenario", "gsnr_profile"),
      {"base_gsnr_db": 20.6,
       "ripple_components": [{"amplitude_db": 1.0, "period_ghz": MIN_RIPPLE_PERIOD_GHZ}]}, 0),
-    ("route_a.json", ("scenario", "grid"),
+    ("scenario.grid0",
+     "route_a.json", ("scenario", "grid"),
      {"start": -50.0, "stop": 1.5e308, "resolution": 1e308}, 2),
-    ("route_b.json", ("scenario", "grid"),
+    ("scenario.grid1",
+     "route_b.json", ("scenario", "grid"),
      {"start": -MAX_CENTER_GHZ, "stop": MAX_CENTER_GHZ, "resolution": 2.5}, 0),
 ]
 
 
+def test_fixed_case_ids_are_unique():
+    ids = [case[0] for case in FIXED_CASES]
+    assert len(set(ids)) == len(ids)
+
+
 @pytest.mark.parametrize(
     "base,path,value,validate_code",
-    FIXED_CASES,
-    ids=[".".join(map(str, path)) for _, path, _, _ in FIXED_CASES],
+    [pytest.param(*case, id=name) for name, *case in FIXED_CASES],
 )
 def test_fixed_hostile_inputs(base, path, value, validate_code, tmp_path):
-    codes = run_commands(_mutated(base, path, value), tmp_path)
+    codes = run_commands(_mutated(base, (path, value)), tmp_path)
     assert codes["validate"] == validate_code
 
 
@@ -137,9 +176,25 @@ def test_seeded_fuzz_stays_in_exit_contract(tmp_path):
     rng = random.Random(20211029)
     for _ in range(RANDOM_CASES):
         base = rng.choice(sorted(BASES))
-        path = rng.choice(list(_paths(BASES[base])))
+        path, _ = rng.choice(list(_fields(BASES[base])))
         value = rng.choice(HOSTILE)
         try:
-            run_commands(_mutated(base, path, value), tmp_path)
+            run_commands(_mutated(base, (path, value)), tmp_path)
         except Exception as exc:
             pytest.fail(f"{base} {'.'.join(map(str, path))} = {value!r}: {exc!r}")
+
+
+def test_seeded_two_field_fuzz_stays_in_exit_contract(tmp_path):
+    """Two fields of one file at once, set to hostile values or at and around a bound."""
+    rng = random.Random(20211029)
+    values = HOSTILE + BOUND_VALUES
+    for _ in range(TWO_FIELD_CASES):
+        base = rng.choice(sorted(BASES))
+        leaves = [path for path, v in _fields(BASES[base]) if not isinstance(v, (dict, list))]
+        paths = rng.sample(leaves, 2)
+        changes = [(path, rng.choice(values)) for path in paths]
+        try:
+            run_commands(_mutated(base, *changes), tmp_path)
+        except Exception as exc:
+            fields = ", ".join(f"{'.'.join(map(str, p))} = {v!r}" for p, v in changes)
+            pytest.fail(f"{base} {fields}: {exc!r}")

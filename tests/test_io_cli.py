@@ -352,6 +352,22 @@ def test_bench_trace_sites_exist():
         assert attr in vars(owner), f"{path} has no attribute {attr}"
 
 
+def test_bench_ops_match_recorded_digests():
+    """The first three ops of each bench workload at seed 0 pass their checks and
+    reproduce bench/expected.json, so an output change that the benchmark's digest
+    check would reject fails here too."""
+    bench = Path(__file__).parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    expected = json.loads((bench / "expected.json").read_text())["workloads"]
+    for name, workload in workloads.WORKLOADS.items():
+        for k, text in enumerate(workload.pool(0)[:3]):
+            raw = workload.op(text, workloads.ReadCounter())
+            workload.check(json.loads(text), json.loads(raw))
+            assert workloads.digest(raw) == expected[name]["0"][k], f"{name} op {k}"
+
+
 def test_missing_required_field():
     doc = minimal_doc()
     del doc["scenario"]["gsnr_profile"]

@@ -231,8 +231,8 @@ def five_slot_bench(kappa=0.0957, probes=None):
 
 def test_bench_geometry_and_validation():
     bench = five_slot_bench()
-    assert bench.slot_count == 5
-    assert bench.middle_index == 2
+    assert len(bench.probes) == 5
+    assert bench.middle_slot == MediaChannel(0, 75.0)
     assert bench.victim_carrier(2, 10.0) == 10.0
     assert bench.victim_carrier(3, 10.0) == 75.0
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specsweep import load_fixture
 from specsweep.errors import ConfigurationError
 from specsweep.formats import catalog_entry
 from specsweep.linesim import (
@@ -211,3 +212,17 @@ def test_layout_profile_is_one_for_sweep_and_crosstalk():
     sweep = run_sweep(open_session(sc), SweepPlan(slots[0], (QPSK69,)))
     for p in sweep.curves[0].points:
         assert p.gsnr_db == pytest.approx(expected(p.carrier), abs=0.01)
+
+
+def test_results_hold_python_floats():
+    """GSNR readings and penalties are Python floats, as annotated, not numpy scalars."""
+    sf = load_fixture("route_c.json")
+    sweep = run_sweep(open_session(sf.scenario), sf.plan)
+    values = [v for c in sweep.curves for p in c.points for v in (p.gsnr_db, p.q_db)]
+    sf = load_fixture("xtalk_5slot.json")
+    scan = crosstalk_scan(
+        CrosstalkBench(sf.scenario, sf.slot_probes), sf.crosstalk_offsets.values()
+    )
+    values += [v for ch in scan.channels for v in (*ch.gsnr_db, *ch.penalties_db)]
+    readings = [v for v in values if v is not None]
+    assert readings and all(type(v) is float for v in readings)
