@@ -19,7 +19,7 @@ import numpy as np
 
 from specsweep import diagnosis, load_fixture
 from specsweep.formats import bisect
-from specsweep.linesim import CrosstalkBench, open_session
+from specsweep.linesim import open_session
 from specsweep.probe import crosstalk_scan, run_sweep
 from specsweep.spectral import SignalSpectrum, overlap_coefficient
 
@@ -27,22 +27,21 @@ from specsweep.spectral import SignalSpectrum, overlap_coefficient
 def fixture_scan(fixture, kappa, offsets):
     """Crosstalk scan of a five-slot fixture with its coupling set to ``kappa``."""
     sf = load_fixture(fixture)
-    scenario = replace(sf.scenario, crosstalk_coupling=kappa)
-    return crosstalk_scan(CrosstalkBench(scenario, sf.slot_probes), offsets)
+    sf = replace(sf, scenario=replace(sf.scenario, crosstalk_coupling=kappa))
+    return crosstalk_scan(sf.bench, offsets)
 
 
 def crosstalk_all69(kappa):
     scan = fixture_scan("xtalk_5slot.json", kappa, (0.0, 6.25, 12.5, 18.75, 25.0))
-    central = scan.channel(2)
-    return {off: float(pen) for off, pen in zip(central.offsets, central.penalties_db)}
+    return {off: float(pen) for off, pen in zip(scan.offsets, scan.channels[2].penalties_db)}
 
 
 def crosstalk_mixed(kappa):
     scan = fixture_scan("xtalk_mixed.json", kappa, (0.0, 25.0))
     return {
-        "central": float(scan.channel(2).penalties_db[1]),
-        "approached": float(scan.channel(3).penalties_db[1]),
-        "next_nearest": float(scan.channel(4).penalties_db[1]),
+        "central": float(scan.channels[2].penalties_db[1]),
+        "approached": float(scan.channels[3].penalties_db[1]),
+        "next_nearest": float(scan.channels[4].penalties_db[1]),
     }
 
 

@@ -15,10 +15,9 @@ from dataclasses import asdict, replace
 from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
 from specsweep.errors import ConfigurationError, ScenarioFormatError, UndiagnosableError
-from specsweep.linesim import CrosstalkBench, open_session
+from specsweep.linesim import open_session
 from specsweep.probe import crosstalk_scan, run_sweep
 from specsweep.scenario_io import (
-    CrosstalkOffsets,
     crosstalk_result_csv,
     crosstalk_result_dict,
     diagnosis_report_dict,
@@ -82,17 +81,7 @@ def cmd_diagnose(sf):
 
 
 def cmd_crosstalk(sf):
-    if not sf.slot_probes:
-        raise ConfigurationError(
-            "crosstalk needs a scenario file with slot_probes (one per media channel)"
-        )
-    bench = CrosstalkBench(sf.scenario, sf.slot_probes)
-    offsets = sf.crosstalk_offsets
-    if offsets is None:
-        step = sf.sweep_step
-        n = int(bench.middle_slot.width / 2.0 / step)
-        offsets = CrosstalkOffsets(-n * step, n * step, step)
-    scan = crosstalk_scan(bench, offsets.values(), trials=sf.trials_per_point)
+    scan = crosstalk_scan(sf.bench, sf.offsets, trials=sf.trials_per_point)
     return {"crosstalk": crosstalk_result_dict(scan)}, crosstalk_result_csv(scan)
 
 

@@ -185,7 +185,7 @@ def local_gsnr_db(scenario, f):
     profile = scenario.gsnr_profile
     g = profile.base_gsnr_db + profile.tilt_db * (f - center) / width
     for rip in profile.ripple_components:
-        g = g + rip.amplitude_db * np.sin(2.0 * np.pi * f / rip.period_ghz + rip.phase_rad)
+        g = g + rip.db(f)
     return g
 
 
@@ -255,8 +255,7 @@ def _noiseless_q_db(scenario, carrier, probe):
     """Q (dB) before read noise, or None on outage.
 
     The cache only has to span the trials of one point, which are read in a
-    row, and a crosstalk scan's re-read of its aligned carrier a few points
-    later. Chain: profile average weighted by the received spectrum, filtering
+    row. Chain: profile average weighted by the received spectrum, filtering
     penalty, crosstalk added inverse-linearly, then GSNR -> in-band SNR ->
     BER -> Q.
     """
@@ -343,15 +342,17 @@ class CrosstalkBench:
 
     Builds, per victim slot, the layout's scenario with the victim's slot
     first (the probed slot, as in a sweep) and every other slot's carrier as
-    a neighbor channel; the middle slot's carrier can be offset to emulate a
-    drifting customer. The sweep engine only ever sees the sessions this
-    bench hands out, its ``probes`` (one per slot) and its ``middle_slot``.
+    a neighbor channel after the scenario's own neighbors; the middle slot's
+    carrier can be offset within its slot to emulate a drifting customer.
+    The crosstalk scan only ever sees the sessions this bench hands out, its
+    ``probes`` (one per slot), ``victim_carrier`` and ``check_offset``.
     """
 
     def __init__(self, scenario, slot_probes):
         if len(scenario.media_channels) != len(slot_probes):
             raise ConfigurationError(
-                "need exactly one probe configuration per media channel"
+                f"need one probe per media channel ({len(scenario.media_channels)}), "
+                f"got {len(slot_probes)}"
             )
         if len(slot_probes) < 3:
             raise ConfigurationError("crosstalk bench needs at least 3 slots")
@@ -366,14 +367,16 @@ class CrosstalkBench:
             return center + central_offset
         return center
 
+    def check_offset(self, offset):
+        """Raise ValueError unless the middle carrier at ``offset`` stays in its slot."""
+        half = self.middle_slot.width / 2.0
+        if not abs(offset) <= half:
+            raise ValueError(f"offset {offset} GHz leaves the middle slot (+/-{half} GHz)")
+
     def session(self, victim_index, central_offset):
         """Black-box session for one victim slot, middle carrier offset applied."""
-        half = self.middle_slot.width / 2.0
-        if abs(central_offset) > half:
-            raise ValueError(
-                f"central offset {central_offset} exceeds the middle slot half-width {half}"
-            )
-        neighbors = tuple(
+        self.check_offset(central_offset)
+        carriers = tuple(
             NeighborChannel(
                 p.symbol_rate, p.roll_off, center=self.victim_carrier(k, central_offset)
             )
@@ -383,6 +386,8 @@ class CrosstalkBench:
         channels = list(self._scenario.media_channels)
         victim = channels.pop(victim_index)
         victim_scenario = replace(
-            self._scenario, media_channels=(victim, *channels), neighbors=neighbors
+            self._scenario,
+            media_channels=(victim, *channels),
+            neighbors=(*self._scenario.neighbors, *carriers),
         )
         return open_session(victim_scenario)

@@ -3,7 +3,9 @@
 Implements extended channel probing: several transceiver configurations are
 swept in fixed frequency steps across the slot and each raw Q reading is
 converted back to a symbol-rate-normalized GSNR sample. The engine sees only
-a BlackBoxProbe (or the crosstalk bench's sessions), never a Scenario.
+a BlackBoxProbe (or the crosstalk bench's sessions), never a Scenario. A
+crosstalk scan reads each channel once per distinct offset of the middle
+carrier, offset 0 included, and that aligned reading is the penalties' base.
 """
 
 import math
@@ -101,7 +103,7 @@ def probe_point(session, carrier, probe, trials=1):
     session.set_probe(probe)
     readings = [session.read_q(trial_index=t) for t in range(trials)]
     n_outage = sum(r.outage for r in readings)
-    if 2 * n_outage > trials or n_outage == trials:
+    if 2 * n_outage > trials:
         return SweepPoint(carrier)
     q = float(np.median([r.q_db for r in readings if not r.outage]))
     ber = ber_from_q_db(q)
@@ -129,54 +131,42 @@ def run_sweep(session, plan):
 
 @dataclass(frozen=True)
 class ChannelScan:
-    """One channel's readings across the central-carrier offsets."""
+    """One channel's readings across the scan's central-carrier offsets."""
 
-    slot_index: int
     probe: ProbeConfig
-    offsets: Tuple[float, ...]
     gsnr_db: Tuple[Optional[float], ...]  # None at outage
     penalties_db: Tuple[Optional[float], ...]  # None where this or the aligned reading is outage
 
 
 @dataclass(frozen=True)
 class CrosstalkScanResult:
+    """Per offset of the middle carrier, every channel's reading; channel k is slot k."""
+
     offsets: Tuple[float, ...]
     channels: Tuple[ChannelScan, ...]
-
-    def channel(self, slot_index):
-        for ch in self.channels:
-            if ch.slot_index == slot_index:
-                return ch
-        raise KeyError(f"no channel scan for slot {slot_index}")
 
 
 def crosstalk_scan(bench, offsets, trials=1):
     """Sweep the middle carrier across its slot, watching every channel.
 
     For each offset of the central carrier each channel (central and sides)
-    is measured through its own session. Penalty is referenced to that
-    channel's aligned-grid (offset 0) reading; outage points carry None.
+    is measured through its own session, once per distinct offset. Penalty
+    is referenced to that channel's aligned-grid (offset 0) reading; outage
+    points carry None.
     """
     offsets = tuple(float(o) for o in offsets)
-    half = bench.middle_slot.width / 2.0
     for off in offsets:
-        if abs(off) > half:
-            raise ValueError(
-                f"offset {off} GHz outside the middle slot half-width {half} GHz"
-            )
+        bench.check_offset(off)
     channels = []
     for idx, probe in enumerate(bench.probes):
-        baseline = probe_point(
-            bench.session(idx, 0.0), bench.victim_carrier(idx, 0.0), probe, trials
-        ).gsnr_db
-        gsnr = tuple(
-            probe_point(
+        reading = {
+            off: probe_point(
                 bench.session(idx, off), bench.victim_carrier(idx, off), probe, trials
             ).gsnr_db
-            for off in offsets
-        )
-        penalties = tuple(
-            None if g is None or baseline is None else baseline - g for g in gsnr
-        )
-        channels.append(ChannelScan(idx, probe, offsets, gsnr, penalties))
+            for off in dict.fromkeys((0.0, *offsets))
+        }
+        baseline = reading[0.0]
+        gsnr = tuple(reading[off] for off in offsets)
+        penalties = tuple(None if g is None or baseline is None else baseline - g for g in gsnr)
+        channels.append(ChannelScan(probe, gsnr, penalties))
     return CrosstalkScanResult(offsets, tuple(channels))

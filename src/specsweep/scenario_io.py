@@ -7,10 +7,13 @@ a default is required (a required list must not be empty). ``_parse`` and
 and the model differ: the file's top level with its sweep and recommend
 sections, and catalog entries given by name. Unknown fields are rejected,
 and errors carry a dotted field path (e.g. ``scenario.filters[0].order``)
-so fixture typos fail loudly. A diagnosis report is likewise its
-dataclasses, key for field.
+so fixture typos fail loudly. A ScenarioFile hands out what its runs need
+(``plan``, ``catalog``, ``bench``, ``offsets``); parsing builds and checks
+them, and the grid's fit to the file, so their errors carry a path too. A
+diagnosis report is likewise its dataclasses, key for field.
 """
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -22,10 +25,11 @@ import typing
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from specsweep.errors import ScenarioFormatError
+from specsweep.errors import ConfigurationError, ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
-from specsweep.linesim import ProbeConfig, Scenario
+from specsweep.linesim import CrosstalkBench, ProbeConfig, Scenario
 from specsweep.probe import SweepPlan
+from specsweep.spectral import check_overlap_resolution
 
 SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
@@ -77,6 +81,33 @@ class ScenarioFile:
     def catalog(self):
         """The recommend catalog's entries."""
         return tuple(catalog_entry(name) for name in self.recommend_catalog)
+
+    @property
+    def bench(self):
+        """The crosstalk bench of the layout, one slot probe per media channel."""
+        if not self.slot_probes:
+            raise ConfigurationError(
+                "crosstalk needs a scenario file with slot_probes (one per media channel)"
+            )
+        return CrosstalkBench(self.scenario, self.slot_probes)
+
+    @property
+    def offsets(self):
+        """The middle carrier's offsets: the file's, else sweep steps out to its slot's edges."""
+        offsets, step = self.crosstalk_offsets, self.sweep_step
+        if offsets is None:
+            n = int(self.bench.middle_slot.width / 2.0 / step)
+            offsets = CrosstalkOffsets(-n * step, n * step, step)
+        return offsets.values()
+
+
+@contextlib.contextmanager
+def _at(path):
+    """A failed check of the model, reported as a format error at ``path``."""
+    try:
+        yield
+    except (ValueError, ConfigurationError) as exc:
+        raise ScenarioFormatError(path, str(exc)) from exc
 
 
 def _check_keys(obj, path, allowed, required=()):
@@ -162,10 +193,8 @@ def _parse(cls, obj, path, **given):
                 raise ScenarioFormatError(f"{path}.{name}", "must not be empty")
         elif required and name not in given:
             raise ScenarioFormatError(f"{path}.{name}", "missing required field")
-    try:
+    with _at(path):  # the class's own checks fail at the object's path
         return cls(**given)
-    except ValueError as exc:  # the class's own checks fail at the object's path
-        raise ScenarioFormatError(path, str(exc)) from exc
 
 
 def parse_scenario_file(data):
@@ -193,12 +222,6 @@ def parse_scenario_file(data):
     for key in ("slot_probes", "crosstalk_offsets"):
         if key in data:
             optional[key] = fields[key][0](data[key], f"{path}.{key}")
-    n_slots = len(scenario.media_channels)
-    if optional.get("slot_probes") and len(optional["slot_probes"]) != n_slots:
-        raise ScenarioFormatError(
-            f"{path}.slot_probes",
-            f"need one probe per media channel ({n_slots}), got {len(optional['slot_probes'])}",
-        )
     if "recommend" in data:
         rec, rec_path = data["recommend"], f"{path}.recommend"
         _check_keys(rec, rec_path, ("catalog", "guard_ghz"), ("catalog",))
@@ -210,7 +233,29 @@ def parse_scenario_file(data):
                 raise ScenarioFormatError(f"{rec_path}.guard_ghz", "must be >= 0")
             optional["recommend_guard_ghz"] = guard
 
-    return ScenarioFile(version, scenario, probes, plan.step, plan.trials_per_point, **optional)
+    sf = ScenarioFile(version, scenario, probes, plan.step, plan.trials_per_point, **optional)
+
+    grid = scenario.grid
+    for i, mc in enumerate(scenario.media_channels):
+        if not (grid.start <= mc.start and mc.stop <= grid.stop):
+            raise ScenarioFormatError(
+                f"{path}.scenario.media_channels[{i}]",
+                f"slot [{mc.start}, {mc.stop}] GHz lies outside the scenario grid "
+                f"[{grid.start}, {grid.stop}] GHz",
+            )
+    # Overlaps are integrated on the grid: sweep probes against the file's
+    # neighbors, each slot carrier against the other slots and the neighbors.
+    overlapping = (*scenario.neighbors, *sf.slot_probes, *(probes if scenario.neighbors else ()))
+    if overlapping:
+        with _at(f"{path}.scenario.grid"):
+            check_overlap_resolution(grid.resolution, min(s.symbol_rate for s in overlapping))
+    if sf.slot_probes:
+        with _at(f"{path}.slot_probes"):
+            bench = sf.bench
+        with _at(f"{path}.crosstalk_offsets"):
+            for off in sf.offsets:
+                bench.check_offset(off)
+    return sf
 
 
 def load_scenario(path):
@@ -316,7 +361,7 @@ def crosstalk_result_dict(scan):
         "offsets": list(scan.offsets),
         "channels": [
             {
-                "slot_index": ch.slot_index,
+                "slot_index": k,
                 "probe": ch.probe.probe_id,
                 "points": [
                     {
@@ -325,21 +370,21 @@ def crosstalk_result_dict(scan):
                         **({} if g is None else {"gsnr_db": g}),
                         **({} if pen is None else {"penalty_db": pen}),
                     }
-                    for off, g, pen in zip(ch.offsets, ch.gsnr_db, ch.penalties_db)
+                    for off, g, pen in zip(scan.offsets, ch.gsnr_db, ch.penalties_db)
                 ],
             }
-            for ch in scan.channels
+            for k, ch in enumerate(scan.channels)
         ],
     }
 
 
 def crosstalk_result_csv(scan):
     lines = ["offset,slot_index,gsnr_db,penalty_db,outage"]
-    for ch in scan.channels:
-        for off, g, pen in zip(ch.offsets, ch.gsnr_db, ch.penalties_db):
+    for k, ch in enumerate(scan.channels):
+        for off, g, pen in zip(scan.offsets, ch.gsnr_db, ch.penalties_db):
             gsnr = "" if g is None else f"{g:.4f}"
             penalty = "" if pen is None else f"{pen:.4f}"
-            lines.append(f"{off:.4f},{ch.slot_index},{gsnr},{penalty},{int(g is None)}")
+            lines.append(f"{off:.4f},{k},{gsnr},{penalty},{int(g is None)}")
     return "\n".join(lines) + "\n"
 
 

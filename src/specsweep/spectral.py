@@ -133,6 +133,10 @@ class Ripple:
                 f"ripple period_ghz must be >= {MIN_RIPPLE_PERIOD_GHZ:g}, got {self.period_ghz}"
             )
 
+    def db(self, f):
+        """The ripple (dB) at the frequencies ``f``."""
+        return self.amplitude_db * np.sin(2.0 * np.pi * f / self.period_ghz + self.phase_rad)
+
 
 @dataclass(frozen=True)
 class FilterElement:
@@ -160,10 +164,7 @@ def filter_power_response(offset, filt):
     with np.errstate(over="ignore"):  # far out of band the power overflows: exp(-inf) = 0
         resp = np.exp(-LN2 * np.abs(2.0 * offset / filt.bandwidth_3db) ** (2 * filt.order))
     if filt.ripple is not None:
-        rip = filt.ripple
-        resp = resp * 10.0 ** (
-            rip.amplitude_db * np.sin(2.0 * np.pi * offset / rip.period_ghz + rip.phase_rad) / 10.0
-        )
+        resp = resp * 10.0 ** (filt.ripple.db(offset) / 10.0)
     return resp
 
 
@@ -175,6 +176,15 @@ def cascade_power_response(filters, f):
     return resp
 
 
+def check_overlap_resolution(resolution, symbol_rate):
+    """Raise ConfigurationError unless ``resolution`` resolves an overlap at ``symbol_rate``."""
+    if resolution > symbol_rate / 20.0:
+        raise ConfigurationError(
+            f"integration resolution {resolution} GHz too coarse for "
+            f"symbol rate {symbol_rate} GBd (max {symbol_rate / 20.0:.3f} GHz)"
+        )
+
+
 def overlap_coefficient(victim, interferer, spacing, resolution=DEFAULT_RESOLUTION):
     """Self-normalized spectral overlap of two unit-power PSDs.
 
@@ -183,12 +193,7 @@ def overlap_coefficient(victim, interferer, spacing, resolution=DEFAULT_RESOLUTI
     """
     if spacing < 0:
         raise ValueError("spacing must be >= 0")
-    min_sr = min(victim.symbol_rate, interferer.symbol_rate)
-    if resolution > min_sr / 20.0:
-        raise ConfigurationError(
-            f"integration resolution {resolution} GHz too coarse for "
-            f"symbol rate {min_sr} GBd (max {min_sr / 20.0:.3f} GHz)"
-        )
+    check_overlap_resolution(resolution, min(victim.symbol_rate, interferer.symbol_rate))
     if spacing >= (victim.occupied_width + interferer.occupied_width) / 2.0:
         return 0.0
     f, sv, den = _victim_support(victim.symbol_rate, victim.roll_off, resolution)

@@ -30,7 +30,6 @@ from specsweep.formats import (
     snr_from_ber,
 )
 from specsweep.linesim import (
-    CrosstalkBench,
     GsnrProfile,
     MediaChannel,
     ProbeConfig,
@@ -52,9 +51,7 @@ def sweep_fixture(name):
 
 
 def scan_fixture(name, offsets):
-    sf = load_fixture(name)
-    bench = CrosstalkBench(sf.scenario, sf.slot_probes)
-    return crosstalk_scan(bench, offsets)
+    return crosstalk_scan(load_fixture(name).bench, offsets)
 
 
 def test_criterion_01_spectral_width_rule():
@@ -148,7 +145,7 @@ def test_criterion_06_crosstalk_regression_all_69():
     """Central-channel penalties 0.8/2.5/>4.4 dB at 6.25/12.5/18.75 GHz
     spacing reductions (frozen five-slot fixture)."""
     scan = scan_fixture("xtalk_5slot.json", (0.0, 6.25, 12.5, 18.75))
-    pens = scan.channel(2).penalties_db
+    pens = scan.channels[2].penalties_db
     assert pens[1] == pytest.approx(0.8, abs=0.3)
     assert pens[2] == pytest.approx(2.5, abs=0.3)
     assert pens[3] > 4.4
@@ -158,13 +155,13 @@ def test_criterion_07_mixed_rate_crosstalk():
     """34 GBd central vs 69 GBd neighbors at 25 GHz offset: 1.2 +/- 0.3 dB
     vs 0.9 +/- 0.3 dB, central worst; next-nearest below 0.05 dB."""
     scan = scan_fixture("xtalk_mixed.json", (0.0, 25.0))
-    central = scan.channel(2).penalties_db[1]
-    approached = scan.channel(3).penalties_db[1]
+    central = scan.channels[2].penalties_db[1]
+    approached = scan.channels[3].penalties_db[1]
     assert central == pytest.approx(1.2, abs=0.3)
     assert approached == pytest.approx(0.9, abs=0.3)
     assert central > approached
     for idx in (0, 4):
-        assert abs(scan.channel(idx).penalties_db[1]) < 0.05
+        assert abs(scan.channels[idx].penalties_db[1]) < 0.05
 
 
 def test_criterion_08_symmetry_and_determinism():
@@ -172,10 +169,10 @@ def test_criterion_08_symmetry_and_determinism():
     repeated runs byte-identical."""
     offsets = (-18.75, -12.5, -6.25, 0.0, 6.25, 12.5, 18.75)
     scan_a = scan_fixture("xtalk_5slot.json", offsets)
-    central = scan_a.channel(2).penalties_db
+    central = scan_a.channels[2].penalties_db
     for i in range(3):
         assert central[i] == pytest.approx(central[-1 - i], abs=0.05)
-    left, right = scan_a.channel(1).penalties_db, scan_a.channel(3).penalties_db
+    left, right = scan_a.channels[1].penalties_db, scan_a.channels[3].penalties_db
     for i in range(len(offsets)):
         assert left[i] == pytest.approx(right[-1 - i], abs=0.05)
 

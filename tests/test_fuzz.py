@@ -155,6 +155,14 @@ FIXED_CASES = [
     ("scenario.grid1",
      "route_b.json", ("scenario", "grid"),
      {"start": -MAX_CENTER_GHZ, "stop": MAX_CENTER_GHZ, "resolution": 2.5}, 0),
+    ("scenario.grid2",
+     "route_a.json", ("scenario", "grid"), {"start": -300.0, "stop": 300.0, "resolution": 2.0}, 2),
+    ("scenario.media_channels.0.center1",
+     "xtalk_5slot.json", ("scenario", "media_channels", 0, "center"), 10000.0, 2),
+    ("slot_probes",
+     "route_a.json", ("slot_probes",), [{"entry": "200G-69GBd-DP-QPSK"}], 2),
+    ("crosstalk_offsets",
+     "xtalk_5slot.json", ("crosstalk_offsets",), {"start": -50.0, "stop": 50.0, "step": 6.25}, 2),
 ]
 
 

@@ -121,7 +121,11 @@ def test_fixtures_load_and_round_trip(name):
 
 
 def random_scenario_file(rng):
-    """A valid ScenarioFile with every optional part present or absent at random."""
+    """A valid ScenarioFile with every optional part present or absent at random.
+
+    Slot probes come only with a layout of at least 3 slots, and the offsets
+    stay inside every slot's half-width (at least 25 GHz), as parsing asks
+    of a crosstalk bench."""
     num = lambda lo, hi: round(rng.uniform(lo, hi), rng.choice([0, 2, 9]))  # noqa: E731
 
     def ripple():
@@ -167,8 +171,8 @@ def random_scenario_file(rng):
     )
     offsets = None
     if rng.random() < 0.5:
-        start = num(-40.0, 0.0)
-        offsets = CrosstalkOffsets(start, start + num(0.0, 40.0), num(1.0, 10.0))
+        start = num(-20.0, 0.0)
+        offsets = CrosstalkOffsets(start, start + num(0.0, 20.0), num(1.0, 10.0))
     catalog = tuple(e.name for e in rng.sample(BUILTIN_CATALOG, rng.randint(0, 3)))
     return ScenarioFile(
         schema_version=1,
@@ -176,7 +180,9 @@ def random_scenario_file(rng):
         probes=tuple(probe() for _ in range(rng.randint(1, 3))),
         sweep_step=rng.choice([6.25, num(1.0, 25.0)]),
         trials_per_point=rng.randint(1, 9),
-        slot_probes=tuple(probe() for _ in channels) if rng.random() < 0.5 else (),
+        slot_probes=(
+            tuple(probe() for _ in channels) if len(channels) >= 3 and rng.random() < 0.5 else ()
+        ),
         crosstalk_offsets=offsets,
         recommend_catalog=catalog,
         recommend_guard_ghz=num(0.0, 10.0) if catalog else 0.0,
@@ -379,8 +385,62 @@ def test_missing_required_field():
 def test_slot_probes_count_checked():
     doc = minimal_doc()
     doc["slot_probes"] = [{"entry": "200G-34GBd-DP-16QAM"}] * 2
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(ScenarioFormatError) as err:
         parse_scenario_file(doc)
+    assert err.value.path == "$.slot_probes"
+
+
+def _two_slot_bench(doc):
+    doc["scenario"]["media_channels"] = doc["scenario"]["media_channels"][:2]
+    doc["slot_probes"] = doc["slot_probes"][:2]
+
+
+def _route_a_with_coarse_grid(doc):
+    doc["scenario"]["neighbors"] = [{"symbol_rate": 34.0, "center": 90.0}]
+    doc["scenario"]["grid"]["resolution"] = 2.0
+
+
+@pytest.mark.parametrize(
+    "fixture,mutate,path",
+    [
+        ("xtalk_5slot.json", _two_slot_bench, "$.slot_probes"),
+        (
+            "xtalk_5slot.json",
+            lambda d: d.update(crosstalk_offsets={"start": -50.0, "stop": 50.0, "step": 6.25}),
+            "$.crosstalk_offsets",
+        ),
+        (
+            "xtalk_5slot.json",
+            lambda d: d["scenario"]["media_channels"][0].update(center=10000.0),
+            "$.scenario.media_channels[0]",
+        ),
+        ("route_a.json", _route_a_with_coarse_grid, "$.scenario.grid"),
+        (
+            "xtalk_5slot.json",
+            lambda d: d["scenario"]["grid"].update(resolution=69.0 / 20.0 + 0.01),
+            "$.scenario.grid",
+        ),
+    ],
+    ids=[
+        "two-slot-bench",
+        "offsets-past-middle-slot",
+        "slot-off-grid",
+        "grid-too-coarse-for-neighbors",
+        "grid-too-coarse-for-slots",
+    ],
+)
+def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
+    """Each of these files once passed validate, and then every run that
+    reads the part at ``path`` failed; validate now rejects it there."""
+    doc = json.loads(fixture_path(fixture).read_text())
+    mutate(doc)
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_file(doc)
+    assert err.value.path == path
+    p = tmp_path / "gap.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("validate", "--scenario", str(p)) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_load_scenario_bad_json(tmp_path):

@@ -1,5 +1,7 @@
 """Probe-engine tests: sweeping, GSNR conversion, crosstalk scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from specsweep.linesim import (
     CrosstalkBench,
     GsnrProfile,
     MediaChannel,
+    NeighborChannel,
     ProbeConfig,
     Scenario,
     open_session,
@@ -128,24 +131,24 @@ def _bench(kappa, probes, seed=42, base=20.0):
 def test_crosstalk_scan_all_equal_rates():
     bench = _bench(0.0957, (QPSK69,) * 5)
     scan = crosstalk_scan(bench, (-12.5, -6.25, 0.0, 6.25, 12.5))
-    central = scan.channel(2)
+    central = scan.channels[2]
     # Aligned grid is the reference: zero penalty at offset 0.
     assert central.penalties_db[2] == pytest.approx(0.0, abs=1e-12)
     # Moving toward a side raises the central penalty monotonically.
     assert central.penalties_db[4] > central.penalties_db[3] > 0.0
     # Next-nearest neighbors barely notice.
     for idx in (0, 4):
-        assert all(abs(p) < 0.05 for p in scan.channel(idx).penalties_db)
+        assert all(abs(p) < 0.05 for p in scan.channels[idx].penalties_db)
 
 
 def test_crosstalk_scan_symmetry():
     bench = _bench(0.0957, (QPSK69,) * 5)
     scan = crosstalk_scan(bench, (-18.75, -6.25, 0.0, 6.25, 18.75))
-    central = scan.channel(2)
+    central = scan.channels[2]
     assert central.penalties_db[0] == pytest.approx(central.penalties_db[4], abs=0.05)
     assert central.penalties_db[1] == pytest.approx(central.penalties_db[3], abs=0.05)
     # Approached neighbors mirror each other too.
-    left, right = scan.channel(1), scan.channel(3)
+    left, right = scan.channels[1], scan.channels[3]
     assert left.penalties_db[0] == pytest.approx(right.penalties_db[4], abs=0.05)
 
 
@@ -155,8 +158,8 @@ def test_crosstalk_scan_mixed_rates_later_onset():
     all69 = crosstalk_scan(_bench(0.05644, (QPSK69,) * 5), (0.0, 12.5, 25.0))
     # The 34 GBd central channel overlaps its neighbors only at larger
     # offsets: no measurable penalty yet at 12.5 GHz, unlike the 69 GBd case.
-    assert mixed.channel(2).penalties_db[1] == pytest.approx(0.0, abs=1e-9)
-    assert all69.channel(2).penalties_db[1] > 0.3
+    assert mixed.channels[2].penalties_db[1] == pytest.approx(0.0, abs=1e-9)
+    assert all69.channels[2].penalties_db[1] > 0.3
 
 
 def test_crosstalk_outage_is_none_and_left_out_of_the_report():
@@ -166,11 +169,58 @@ def test_crosstalk_outage_is_none_and_left_out_of_the_report():
     qam = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
     bench = _bench(0.0957, (QPSK69, QPSK69, qam, QPSK69, QPSK69), base=13.0)
     scan = crosstalk_scan(bench, (0.0, 6.25, 12.5))
-    center = scan.channel(2)
+    center = scan.channels[2]
     assert center.gsnr_db == center.penalties_db == (None, None, None)
-    assert all(g is not None for g in scan.channel(1).gsnr_db)
+    assert all(g is not None for g in scan.channels[1].gsnr_db)
     points = crosstalk_result_dict(scan)["channels"][2]["points"]
     assert points == [{"offset": off, "outage": True} for off in (0.0, 6.25, 12.5)]
+
+
+class _CountingBench:
+    """A crosstalk bench whose sessions count their reads."""
+
+    def __init__(self, bench):
+        self._bench = bench
+        self.reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self._bench, name)
+
+    def session(self, victim_index, central_offset):
+        session = self._bench.session(victim_index, central_offset)
+        read_q = session.read_q
+
+        def counted(trial_index=0):
+            self.reads += 1
+            return read_q(trial_index)
+
+        session.read_q = counted
+        return session
+
+
+@pytest.mark.parametrize("offsets", [(-6.25, 0.0, 6.25), (6.25, 12.5)])
+def test_crosstalk_scan_reads_each_channel_once_per_distinct_offset(offsets):
+    """The aligned reading is the baseline and, when 0 is an offset, that
+    offset's reading too: 5 channels x 3 distinct offsets (0 included)."""
+    bench = _CountingBench(_bench(0.0957, (QPSK69,) * 5))
+    scan = crosstalk_scan(bench, offsets)
+    assert bench.reads == 15
+    assert scan == crosstalk_scan(bench._bench, offsets)
+
+
+def test_crosstalk_victims_see_the_scenario_neighbors():
+    """A file neighbor between slots 0 and 1 puts both in outage on the
+    aligned grid, as it does slot 0's sweep point; the other slots read as
+    without it."""
+    sf = load_fixture("xtalk_5slot.json")
+    nb = NeighborChannel(69.0, center=-100.0, power_offset_db=10.0)
+    with_nb = replace(sf, scenario=replace(sf.scenario, neighbors=(nb,)))
+    slot0 = probe_point(open_session(with_nb.scenario), -150.0, with_nb.slot_probes[0])
+    assert slot0.gsnr_db is None
+    alone = [ch.gsnr_db[0] for ch in crosstalk_scan(sf.bench, (0.0,)).channels]
+    seen = [ch.gsnr_db[0] for ch in crosstalk_scan(with_nb.bench, (0.0,)).channels]
+    assert None not in alone
+    assert seen == [None, None, *alone[2:]]
 
 
 def test_crosstalk_scan_rejects_offsets_outside_slot():
@@ -184,10 +234,10 @@ def test_crosstalk_penalties_bounded_below_at_zero_sigma():
     back at most their (tiny) aligned-grid crosstalk contribution."""
     bench = _bench(0.0957, (QPSK69,) * 5)
     scan = crosstalk_scan(bench, tuple(np.arange(-37.5, 37.5 + 1e-9, 6.25)))
-    for pen in scan.channel(2).penalties_db:
+    for pen in scan.channels[2].penalties_db:
         assert pen is None or pen >= 0.0
     for idx in (0, 1, 3, 4):
-        for pen in scan.channel(idx).penalties_db:
+        for pen in scan.channels[idx].penalties_db:
             assert pen is None or pen >= -0.1
 
 
@@ -207,8 +257,8 @@ def test_layout_profile_is_one_for_sweep_and_crosstalk():
         return base + tilt * f / 375.0
 
     scan = crosstalk_scan(CrosstalkBench(sc, (QPSK69,) * 5), (0.0,))
-    for ch in scan.channels:
-        assert ch.gsnr_db[0] == pytest.approx(expected(slots[ch.slot_index].center), abs=0.01)
+    for slot, ch in zip(slots, scan.channels):
+        assert ch.gsnr_db[0] == pytest.approx(expected(slot.center), abs=0.01)
     sweep = run_sweep(open_session(sc), SweepPlan(slots[0], (QPSK69,)))
     for p in sweep.curves[0].points:
         assert p.gsnr_db == pytest.approx(expected(p.carrier), abs=0.01)
@@ -220,9 +270,7 @@ def test_results_hold_python_floats():
     sweep = run_sweep(open_session(sf.scenario), sf.plan)
     values = [v for c in sweep.curves for p in c.points for v in (p.gsnr_db, p.q_db)]
     sf = load_fixture("xtalk_5slot.json")
-    scan = crosstalk_scan(
-        CrosstalkBench(sf.scenario, sf.slot_probes), sf.crosstalk_offsets.values()
-    )
+    scan = crosstalk_scan(sf.bench, sf.offsets)
     values += [v for ch in scan.channels for v in (*ch.gsnr_db, *ch.penalties_db)]
     readings = [v for v in values if v is not None]
     assert readings and all(type(v) is float for v in readings)
