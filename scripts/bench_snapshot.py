@@ -26,11 +26,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 20211029)
 
 
-def run(workload, seed, seconds):
-    """The result line of one untraced bench run."""
+def run(workload, seed, seconds, root=ROOT):
+    """The result line of one untraced bench run in the checkout at ``root``."""
     argv = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 

@@ -5,6 +5,7 @@ All estimators work purely on SweepResult data; nothing here may look at
 scenario internals.
 """
 
+import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -358,7 +359,7 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
     if catalog:
         plan = recommend_carriers(sweep, catalog, guard_ghz)
         gsnr = np.concatenate([curve.gsnr_db() for curve in sweep.curves])
-        link = float(np.median(gsnr[np.isfinite(gsnr)]))
+        link = statistics.median(gsnr[np.isfinite(gsnr)].tolist())
         for i, ea in enumerate(catalog):
             for eb in catalog[i:]:
                 key = f"{ea.name}|{eb.name}"

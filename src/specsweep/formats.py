@@ -8,7 +8,7 @@ at any symbol rate therefore maps onto one comparable channel metric.
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,6 +19,10 @@ SNR_FLOOR_DB = -30.0
 # Every catalog entry is planned with this margin above its FEC threshold.
 REQUIRED_MARGIN_DB = 1.0
 _SNR_TOL_DB = 1e-4
+# Half-width of the band around a closed-form root inside which the
+# inversion still asks ber_from_snr: far wider than the few-ulp error of the
+# root and of ber_from_snr, so outside it both give the same decision.
+_ROOT_BAND_DB = 1e-6
 _BER_FLOOR = 1e-300
 _STANDARD_NORMAL = NormalDist()
 
@@ -32,6 +36,16 @@ def _ber_qam16(snr_lin):
     return (3.0 / 8.0) * math.erfc(math.sqrt(snr_lin / 10.0))
 
 
+def _snr_qpsk(ber):
+    # 0.5 erfc(sqrt(s / 2)) = Phi(-sqrt(s))
+    return _STANDARD_NORMAL.inv_cdf(ber) ** 2
+
+
+def _snr_qam16(ber):
+    # (3/8) erfc(sqrt(s / 10)) = (3/4) Phi(-sqrt(s / 5))
+    return 5.0 * _STANDARD_NORMAL.inv_cdf(4.0 * ber / 3.0) ** 2
+
+
 def _ber_hybrid(snr_lin):
     # Hybrid of QPSK and 16QAM: the geometric mean of the parent curves keeps
     # it strictly between them at every SNR.
@@ -43,6 +57,9 @@ class ModulationFormat:
     name: str
     # Unclipped BER at a linear in-band SNR.
     ber: Callable[[float], float] = field(repr=False)
+    # The linear in-band SNR at which ``ber`` equals its argument, where a
+    # closed form exists.
+    snr: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,9 +78,9 @@ class CatalogEntry:
             raise ValueError("net_data_rate_gbps must be > 0")
 
 
-DP_QPSK = ModulationFormat("DP-QPSK", _ber_qpsk)
+DP_QPSK = ModulationFormat("DP-QPSK", _ber_qpsk, _snr_qpsk)
 DP_P_16QAM = ModulationFormat("DP-P-16QAM", _ber_hybrid)
-DP_16QAM = ModulationFormat("DP-16QAM", _ber_qam16)
+DP_16QAM = ModulationFormat("DP-16QAM", _ber_qam16, _snr_qam16)
 
 # Probe set from the field campaign plus the 300G planning modes and the
 # 100G low-rate mode used in the mixed crosstalk test.
@@ -105,12 +122,30 @@ def ber_from_snr(fmt, snr_db):
 
 
 def snr_from_ber(fmt, ber):
-    """Invert ber_from_snr by bisection; clamped at SNR_FLOOR_DB."""
+    """Invert ber_from_snr by bisection; clamped at SNR_FLOOR_DB.
+
+    A format with a closed-form inverse (``fmt.snr``) decides each bisection
+    step against that root and calls ber_from_snr only for a midpoint within
+    _ROOT_BAND_DB of it. Outside the band both tests agree, so the midpoints,
+    and the result, are bit for bit those of the plain bisection. Below
+    _BER_FLOOR the clipped BER is above ``ber`` at every SNR: the root is
+    taken as +inf, as the plain bisection behaves.
+    """
     if not 0.0 < ber < 0.5:
         raise ValueError(f"ber must be in (0, 0.5), got {ber}")
     if ber_from_snr(fmt, SNR_FLOOR_DB) <= ber:
         return SNR_FLOOR_DB
-    return bisect(lambda snr: ber_from_snr(fmt, snr) > ber, SNR_FLOOR_DB, 60.0, _SNR_TOL_DB)
+
+    root = None
+    if fmt.snr is not None:
+        root = math.inf if ber < _BER_FLOOR else 10.0 * math.log10(fmt.snr(ber))
+
+    def below(snr):
+        if root is not None and abs(snr - root) > _ROOT_BAND_DB:
+            return snr < root
+        return ber_from_snr(fmt, snr) > ber
+
+    return bisect(below, SNR_FLOOR_DB, 60.0, _SNR_TOL_DB)
 
 
 def q_db_from_ber(ber):

@@ -346,6 +346,10 @@ class CrosstalkBench:
     carrier can be offset within its slot to emulate a drifting customer.
     The crosstalk scan only ever sees the sessions this bench hands out, its
     ``probes`` (one per slot), ``victim_carrier`` and ``check_offset``.
+
+    Every slot's carrier is built once, at its aligned center; a session
+    rebuilds only the middle one, and only at a non-zero offset. The
+    neighbors are the same values, in the same order, as built afresh.
     """
 
     def __init__(self, scenario, slot_probes):
@@ -360,6 +364,10 @@ class CrosstalkBench:
         self._middle_index = len(slot_probes) // 2
         self.probes = tuple(slot_probes)
         self.middle_slot = scenario.media_channels[self._middle_index]
+        self._carriers = tuple(
+            NeighborChannel(p.symbol_rate, p.roll_off, center=mc.center)
+            for p, mc in zip(self.probes, scenario.media_channels)
+        )
 
     def victim_carrier(self, victim_index, central_offset):
         center = self._scenario.media_channels[victim_index].center
@@ -376,13 +384,13 @@ class CrosstalkBench:
     def session(self, victim_index, central_offset):
         """Black-box session for one victim slot, middle carrier offset applied."""
         self.check_offset(central_offset)
-        carriers = tuple(
-            NeighborChannel(
-                p.symbol_rate, p.roll_off, center=self.victim_carrier(k, central_offset)
+        carriers = list(self._carriers)
+        if central_offset:
+            middle = self._middle_index
+            carriers[middle] = replace(
+                carriers[middle], center=self.victim_carrier(middle, central_offset)
             )
-            for k, p in enumerate(self.probes)
-            if k != victim_index
-        )
+        del carriers[victim_index]
         channels = list(self._scenario.media_channels)
         victim = channels.pop(victim_index)
         victim_scenario = replace(

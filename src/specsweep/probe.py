@@ -9,6 +9,7 @@ carrier, offset 0 included, and that aligned reading is the penalties' base.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -94,7 +95,11 @@ def probe_point(session, carrier, probe, trials=1):
 
     Inverts the measurement chain: median Q -> BER -> in-band SNR via the
     probe format's curve -> GSNR in the reference bandwidth. The point is an
-    outage, with no Q, when most trials are.
+    outage, with no Q, when most trials are. The median is
+    ``statistics.median``: the middle Q, or the mean of the middle two, the
+    same float ``np.median`` gives. The inversion is ``snr_from_ber``'s
+    bisection, decided by the closed-form root where the format has one and
+    bit-identical to the plain bisection.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -105,7 +110,7 @@ def probe_point(session, carrier, probe, trials=1):
     n_outage = sum(r.outage for r in readings)
     if 2 * n_outage > trials:
         return SweepPoint(carrier)
-    q = float(np.median([r.q_db for r in readings if not r.outage]))
+    q = statistics.median(r.q_db for r in readings if not r.outage)
     ber = ber_from_q_db(q)
     snr_db = snr_from_ber(probe.entry.format, ber)
     return SweepPoint(carrier, normalize_gsnr(snr_db, probe.symbol_rate), q)

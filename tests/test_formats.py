@@ -5,16 +5,25 @@ expressions (scipy's error functions plus local scalar bisection) without
 going through the package's own inversion code.
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 from scipy.special import erfc, erfcinv
 
+from specsweep import formats
 from specsweep.formats import (
     _BER_FLOOR,
+    _SNR_TOL_DB,
     BUILTIN_CATALOG,
+    DEFAULT_OUTAGE_BER,
     DP_16QAM,
     DP_P_16QAM,
     DP_QPSK,
+    FEC_BER,
+    SNR_FLOOR_DB,
+    bisect,
     ber_from_q_db,
     ber_from_snr,
     catalog_entry,
@@ -91,6 +100,52 @@ def test_snr_from_ber_oracle_and_gap():
     gap_oracle = oracle_snr(DP_16QAM, 2e-2) - oracle_snr(DP_QPSK, 2e-2)
     assert (s_qam - s_qpsk) == pytest.approx(gap_oracle, abs=0.5)
     assert 6.0 < s_qam - s_qpsk < 7.5
+
+
+def plain_snr_from_ber(fmt, ber):
+    """The inversion as a plain bisection on ber_from_snr: the reference for the fast path."""
+    if ber_from_snr(fmt, SNR_FLOOR_DB) <= ber:
+        return SNR_FLOOR_DB
+    return bisect(lambda snr: ber_from_snr(fmt, snr) > ber, SNR_FLOOR_DB, 60.0, _SNR_TOL_DB)
+
+
+# 10^4 seeded log-uniform BERs over [_BER_FLOOR, 0.5), the named BERs, one
+# below the floor, and 0.49, which every format reaches below SNR_FLOOR_DB
+# (the early return).
+_rng = random.Random(16)
+INVERSION_BERS = (
+    *(math.exp(_rng.uniform(math.log(_BER_FLOOR), math.log(0.5))) for _ in range(10_000)),
+    FEC_BER,
+    DEFAULT_OUTAGE_BER,
+    _BER_FLOOR,
+    1e-305,
+    0.49,
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_snr_from_ber_is_the_plain_bisection_bit_for_bit(fmt):
+    assert snr_from_ber(fmt, 0.49) == SNR_FLOOR_DB
+    for ber in INVERSION_BERS:
+        assert snr_from_ber(fmt, ber) == plain_snr_from_ber(fmt, ber), ber
+
+
+@pytest.mark.parametrize("fmt", (DP_QPSK, DP_16QAM))
+def test_closed_form_inversion_rarely_calls_ber_from_snr(fmt, monkeypatch):
+    """The closed-form formats ask ber_from_snr only near the root, so a silent
+    fallback to the plain bisection (~22 calls) fails here."""
+    calls = []
+    plain = formats.ber_from_snr
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(formats, "ber_from_snr", counting)
+    for ber in INVERSION_BERS:
+        calls.clear()
+        snr_from_ber(fmt, ber)
+        assert len(calls) <= 3, ber
 
 
 def test_snr_from_ber_saturates():

@@ -604,6 +604,28 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from specsweep import cli, fixture_path
+runs = [("sweep", "route_a"), ("diagnose", "route_b"), ("recommend", "route_c"),
+        ("crosstalk", "xtalk_mixed")]
+for command, fixture in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--scenario", str(fixture_path(fixture + ".json"))])
+    print(command, code)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_commands_leave_numpy_ma_out():
+    """No command needs numpy.ma, which np.median imports on first use (~1.3 MB)."""
+    proc = run_checkout_python("-c", NUMPY_MA_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    *codes, loaded = proc.stdout.splitlines()
+    assert codes == ["sweep 0", "diagnose 0", "recommend 0", "crosstalk 0"]
+    assert loaded == "False"
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

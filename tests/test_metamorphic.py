@@ -1,0 +1,114 @@
+"""Metamorphic gate: symmetries of the line model, checked on the fixtures.
+
+At zero read noise (the noise key includes the carrier, so a moved carrier
+draws other noise) every GSNR reading of a sweep and of a crosstalk scan
+must survive two transformations of the scenario file exactly:
+
+- translation: every absolute frequency (media channels, filter and
+  neighbor centers, grid ends) moves by a multiple of the grid resolution
+  and of every GSNR-profile ripple period; the carriers move with it;
+- mirror: every frequency is negated, the grid ends swap, ``tilt_db``
+  changes sign, each ripple phase maps to pi - phi, and the slots and their
+  probes reverse; sweep curves reverse, and crosstalk offset o reads as -o.
+"""
+
+import copy
+import json
+import math
+from dataclasses import replace
+
+import pytest
+
+from specsweep import fixture_path
+from specsweep.linesim import open_session
+from specsweep.probe import crosstalk_scan, run_sweep
+from specsweep.scenario_io import parse_scenario_file
+
+FIXTURES = ("route_a", "route_b", "route_c", "xtalk_5slot", "xtalk_mixed")
+
+
+def noiseless_doc(name):
+    doc = json.loads(fixture_path(f"{name}.json").read_text())
+    doc["scenario"]["measurement_noise_sigma_db"] = 0.0
+    return doc
+
+
+def translated(doc, delta):
+    doc = copy.deepcopy(doc)
+    scenario = doc["scenario"]
+    for key in ("media_channels", "filters", "neighbors"):
+        for item in scenario.get(key, ()):
+            item["center"] += delta
+    scenario["grid"]["start"] += delta
+    scenario["grid"]["stop"] += delta
+    return doc
+
+
+def mirrored(doc):
+    doc = copy.deepcopy(doc)
+    scenario = doc["scenario"]
+    for key in ("media_channels", "filters", "neighbors"):
+        for item in scenario.get(key, ()):
+            item["center"] = -item["center"]
+    scenario["media_channels"].reverse()
+    grid = scenario["grid"]
+    grid["start"], grid["stop"] = -grid["stop"], -grid["start"]
+    profile = scenario["gsnr_profile"]
+    profile["tilt_db"] = -profile.get("tilt_db", 0.0)
+    ripples = [f["ripple"] for f in scenario.get("filters", ()) if "ripple" in f]
+    for ripple in ripples + profile.get("ripple_components", []):
+        ripple["phase_rad"] = math.pi - ripple.get("phase_rad", 0.0)
+    if "slot_probes" in doc:
+        doc["slot_probes"].reverse()
+    offsets = doc.get("crosstalk_offsets")
+    if offsets:
+        offsets["start"], offsets["stop"] = -offsets["stop"], -offsets["start"]
+    return doc
+
+
+def sweep(doc, slot_index=0):
+    """Every probe's (carrier, GSNR) readings across one media channel."""
+    sf = parse_scenario_file(doc)
+    plan = replace(sf.plan, slot=sf.scenario.media_channels[slot_index])
+    result = run_sweep(open_session(sf.scenario), plan)
+    return [[(p.carrier, p.gsnr_db) for p in curve.points] for curve in result.curves]
+
+
+def scan(doc):
+    """Per offset, every channel's GSNR reading, or None without slot probes."""
+    sf = parse_scenario_file(doc)
+    if not sf.slot_probes:
+        return None
+    result = crosstalk_scan(sf.bench, sf.offsets)
+    readings = [dict(zip(result.offsets, ch.gsnr_db)) for ch in result.channels]
+    return result.offsets, readings
+
+
+@pytest.fixture(scope="module", params=FIXTURES)
+def baseline(request):
+    """A fixture at zero noise: its document, sweep and scan readings."""
+    doc = noiseless_doc(request.param)
+    return doc, sweep(doc), scan(doc)
+
+
+@pytest.mark.parametrize("delta", (12.5, 100.0))
+def test_translation_keeps_every_reading(baseline, delta):
+    doc, curves, scanned = baseline
+    moved = translated(doc, delta)
+    assert sweep(moved) == [[(c + delta, g) for c, g in curve] for curve in curves]
+    assert scan(moved) == scanned
+
+
+def test_mirror_keeps_every_reading(baseline):
+    doc, curves, scanned = baseline
+    flipped = mirrored(doc)
+    # The mirror of the first slot is the mirrored file's last slot.
+    flipped_curves = sweep(flipped, slot_index=-1)
+    assert [[(-c, g) for c, g in reversed(curve)] for curve in flipped_curves] == curves
+    if scanned is None:
+        return
+    offsets, readings = scanned
+    flipped_offsets, flipped_readings = scan(flipped)
+    assert sorted(flipped_offsets) == sorted(-o for o in offsets)
+    for channel, flipped_channel in zip(readings, reversed(flipped_readings), strict=True):
+        assert {o: flipped_channel[-o] for o in offsets} == channel

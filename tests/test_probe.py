@@ -7,7 +7,7 @@ import pytest
 
 from specsweep import load_fixture
 from specsweep.errors import ConfigurationError
-from specsweep.formats import catalog_entry
+from specsweep.formats import ber_from_q_db, catalog_entry, normalize_gsnr, snr_from_ber
 from specsweep.linesim import (
     CrosstalkBench,
     GsnrProfile,
@@ -17,7 +17,7 @@ from specsweep.linesim import (
     Scenario,
     open_session,
 )
-from specsweep.probe import SweepPlan, crosstalk_scan, probe_point, run_sweep
+from specsweep.probe import SweepPlan, SweepPoint, crosstalk_scan, probe_point, run_sweep
 from specsweep.scenario_io import crosstalk_result_dict
 from specsweep.spectral import FilterElement
 
@@ -71,6 +71,24 @@ def test_probe_point_median_suppresses_noise():
             hits += 1
     assert hits / len(seeds) >= 0.97
     assert err5 < err1  # aggregation really helps
+
+
+@pytest.mark.parametrize("trials", (2, 4))
+def test_probe_point_even_trials_match_numpy_median(trials):
+    """An even count's median is the mean of the middle two Qs, as np.median
+    takes it; the fixtures and the bench read 1 or 5 trials, never an even count."""
+    sf = load_fixture("route_c.json")
+    assert sf.scenario.measurement_noise_sigma_db == 0.1
+    for seed in range(3):
+        session = open_session(replace(sf.scenario, seed=seed))
+        for probe in sf.probes:
+            for carrier in sf.plan.carriers()[::8]:
+                point = probe_point(session, carrier, probe, trials)
+                qs = [session.read_q(trial_index=t).q_db for t in range(trials)]
+                q = float(np.median(qs))
+                snr = snr_from_ber(probe.entry.format, ber_from_q_db(q))
+                gsnr = normalize_gsnr(snr, probe.symbol_rate)
+                assert point == SweepPoint(float(carrier), gsnr, q)
 
 
 def test_sweep_grid_arithmetic():
