@@ -19,6 +19,11 @@ better) against the metric's bound. The verdict column reads:
   not every working-tree run beats every base run;
 - ``within bound``: none of these.
 
+Above the table it prints each side's median count of attempted ops, and the
+change of the median ``peak_rss_mb`` per extra attempted op in KB. The bench
+keeps every op's output until the run ends, so a faster op raises
+``peak_rss_mb`` by about that much per op without any real memory change.
+
 Each run's result line goes to stderr as it completes.
 """
 
@@ -97,11 +102,21 @@ def main(argv=None):
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s; "
           f"base {args.base_ref} against the working tree")
+    ops, rss = {}, {}
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
         correct = sum(r["correct"] for r in runs)
-        print(f"  {side}: {correct}/{len(runs)} runs correct, {failed}/{attempted} ops failed")
+        ops[side] = statistics.median(r["attempted"] for r in runs)
+        rss[side] = statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in runs)
+        print(f"  {side}: {correct}/{len(runs)} runs correct, {failed}/{attempted} ops failed, "
+              f"median {ops[side]:g} ops attempted")
+    extra = ops["change"] - ops["base"]
+    if extra:
+        kb = 1024.0 * (rss["change"] - rss["base"]) / extra
+        print(f"  peak_rss_mb per extra op: {kb:+.2f} KB/op over {extra:+g} ops")
+    else:
+        print("  peak_rss_mb per extra op: n/a (equal op counts)")
     print("| metric | unit | base median | base q1–q3 | change median | change q1–q3 "
           "| wins | worse by | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|---|---|")

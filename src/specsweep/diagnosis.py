@@ -5,6 +5,7 @@ All estimators work purely on SweepResult data; nothing here may look at
 scenario internals.
 """
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -281,38 +282,51 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     return CarrierPlan(tuple(assignments), guard_ghz, shortfalls)
 
 
-def _pair_penalty_db(spacing, victim, interferer, link_gsnr_db):
-    """Modeled crosstalk penalty of one equal-power interferer at a spacing.
+def _pair_exceeds(spacing, a, b, link_lin, max_penalty_db):
+    """Whether the modeled crosstalk penalty of a pair at ``spacing`` is over the limit.
 
-    Power follows the constant-PSD rule, so the interferer-to-victim power
-    ratio is SR_i / SR_v; worse of the two victim/interferer directions.
+    Each spectrum is the victim of the other in turn; the penalty of one
+    direction is 10*log10(1 + g*ratio*chi), with g the linear link GSNR and,
+    by the constant-PSD rule, ratio = SR_interferer / SR_victim. Equal spectra
+    have a single direction, and the first direction over the limit decides.
+    For a positive limit that is the same answer as comparing the worse of
+    the two directions.
     """
-    g = 10.0 ** (link_gsnr_db / 10.0)
-    worst = 0.0
-    for v, i in ((victim, interferer), (interferer, victim)):
+    for v, i in dict.fromkeys(((a, b), (b, a))):
         ratio = i.symbol_rate / v.symbol_rate
         chi = overlap_coefficient(v, i, spacing)
-        worst = max(worst, 10.0 * np.log10(1.0 + g * ratio * chi))
-    return worst
+        if 10.0 * np.log10(1.0 + link_lin * ratio * chi) > max_penalty_db:
+            return True
+    return False
 
 
 def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENALTY_DB):
     """Smallest spacing keeping mutual crosstalk below max_penalty_db.
 
-    Bisection over center-to-center spacing; the guard band proper is the
-    spacing beyond the two half occupied widths, floored at zero (with
-    strictly band-limited spectra the penalty vanishes at support
-    separation, so the informative figure is min_spacing_ghz).
+    Bisection over center-to-center spacing; each step only asks whether the
+    penalty in either direction is over the limit (``_pair_exceeds``). The
+    guard band proper is the spacing beyond the two half occupied widths,
+    floored at zero (with strictly band-limited spectra the penalty vanishes
+    at support separation, so the informative figure is min_spacing_ghz).
+    ``max_penalty_db`` must be finite and positive, and ``link_gsnr_db``
+    finite with a linear value that fits a float; anything else raises
+    ValueError.
     """
-    if max_penalty_db <= 0:
-        raise ValueError("max_penalty_db must be > 0")
+    if not (math.isfinite(max_penalty_db) and max_penalty_db > 0):
+        raise ValueError(f"max_penalty_db must be finite and > 0, got {max_penalty_db}")
+    if not math.isfinite(link_gsnr_db):
+        raise ValueError(f"link_gsnr_db must be finite, got {link_gsnr_db}")
+    try:
+        link_lin = 10.0 ** (link_gsnr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"link_gsnr_db is too large, got {link_gsnr_db}") from None
     a = SignalSpectrum(entry_a.symbol_rate)
     b = SignalSpectrum(entry_b.symbol_rate)
     half_sum = (a.occupied_width + b.occupied_width) / 2.0
-    if _pair_penalty_db(0.0, a, b, link_gsnr_db) <= max_penalty_db:
+    if not _pair_exceeds(0.0, a, b, link_lin, max_penalty_db):
         return GuardBandResult(0.0, 0.0)
     spacing = bisect(
-        lambda s: _pair_penalty_db(s, a, b, link_gsnr_db) > max_penalty_db,
+        lambda s: _pair_exceeds(s, a, b, link_lin, max_penalty_db),
         0.0,
         half_sum,
         GUARD_BAND_TOL_GHZ,

@@ -166,8 +166,9 @@ class MeasurementResult:
         return self.q_db is None
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _cascade_on_grid(filters, grid):
+    """The cascade's power response on the whole grid, kept for one scenario's reads."""
     return cascade_power_response(filters, grid.points())
 
 

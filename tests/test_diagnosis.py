@@ -1,9 +1,15 @@
 """Diagnosis-layer tests: estimators, recommender, guard bands."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+from specsweep import diagnosis
 from specsweep.diagnosis import (
+    GUARD_BAND_TOL_GHZ,
+    GuardBandResult,
     diagnose,
     estimate_center_offset,
     estimate_effective_bandwidth,
@@ -13,7 +19,7 @@ from specsweep.diagnosis import (
     recommend_carriers,
 )
 from specsweep.errors import UndiagnosableError
-from specsweep.formats import catalog_entry
+from specsweep.formats import BUILTIN_CATALOG, bisect, catalog_entry
 from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
@@ -22,7 +28,7 @@ from specsweep.linesim import (
     open_session,
 )
 from specsweep.probe import SweepPlan, run_sweep
-from specsweep.spectral import FilterElement, Ripple
+from specsweep.spectral import FilterElement, Ripple, SignalSpectrum, overlap_coefficient
 
 QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
 HYB46 = ProbeConfig(catalog_entry("200G-46GBd-DP-P-16QAM"))
@@ -244,6 +250,75 @@ def test_guard_band_monotonicity():
         for g in (10.0, 15.0, 20.0, 25.0)
     ]
     assert all(s2 >= s1 - 1e-6 for s1, s2 in zip(by_gsnr, by_gsnr[1:]))
+
+
+BUILTIN_PAIRS = tuple(itertools.combinations_with_replacement(BUILTIN_CATALOG, 2))
+# The reference visits the same midpoints over and over; memoising its
+# overlaps keeps the bit-for-bit test fast without changing any value.
+_chi = functools.cache(overlap_coefficient)
+
+
+def plain_guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db):
+    """guard_band with the penalty worked out in full: the worse of both directions."""
+    a = SignalSpectrum(entry_a.symbol_rate)
+    b = SignalSpectrum(entry_b.symbol_rate)
+    g = 10.0 ** (link_gsnr_db / 10.0)
+
+    def penalty_db(spacing):
+        worst = 0.0
+        for v, i in ((a, b), (b, a)):
+            ratio = i.symbol_rate / v.symbol_rate
+            worst = max(worst, 10.0 * np.log10(1.0 + g * ratio * _chi(v, i, spacing)))
+        return worst
+
+    half_sum = (a.occupied_width + b.occupied_width) / 2.0
+    if penalty_db(0.0) <= max_penalty_db:
+        return GuardBandResult(0.0, 0.0)
+    spacing = bisect(lambda s: penalty_db(s) > max_penalty_db, 0.0, half_sum, GUARD_BAND_TOL_GHZ)
+    return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
+
+
+@pytest.mark.parametrize("max_penalty_db", (0.05, 0.1, 1.0))
+@pytest.mark.parametrize("link_gsnr_db", (8.0, 15.0, 19.3, 26.0))
+def test_guard_band_matches_plain_two_direction_max(link_gsnr_db, max_penalty_db):
+    for a, b in BUILTIN_PAIRS:
+        assert guard_band(a, b, link_gsnr_db, max_penalty_db) == plain_guard_band(
+            a, b, link_gsnr_db, max_penalty_db
+        ), (a.name, b.name)
+
+
+def test_guard_band_overlap_calls_short_circuit(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return overlap_coefficient(*args)
+
+    monkeypatch.setattr(diagnosis, "overlap_coefficient", counting)
+    for a, b in BUILTIN_PAIRS:
+        guard_band(a, b, link_gsnr_db=15.0)
+    # Both directions at every step would be 588 calls (14 steps per pair);
+    # equal spectra take one direction, and a step ends at the first
+    # direction over the limit.
+    assert len(calls) == 384
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_penalty_db": float("nan")}, "max_penalty_db"),
+        ({"max_penalty_db": float("inf")}, "max_penalty_db"),
+        ({"max_penalty_db": 0.0}, "max_penalty_db"),
+        ({"max_penalty_db": -0.1}, "max_penalty_db"),
+        ({"link_gsnr_db": float("nan")}, "link_gsnr_db"),
+        ({"link_gsnr_db": float("-inf")}, "link_gsnr_db"),
+        ({"link_gsnr_db": 1e6}, "link_gsnr_db"),
+    ],
+)
+def test_guard_band_rejects_bad_arguments(kwargs, name):
+    args = {"link_gsnr_db": 19.0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        guard_band(catalog_entry("200G-69GBd-DP-QPSK"), catalog_entry("200G-34GBd-DP-16QAM"), **args)
 
 
 def test_pre_emphasis_flat_and_tilted():

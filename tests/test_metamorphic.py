@@ -10,6 +10,13 @@ must survive two transformations of the scenario file exactly:
 - mirror: every frequency is negated, the grid ends swap, ``tilt_db``
   changes sign, each ripple phase maps to pi - phi, and the slots and their
   probes reverse; sweep curves reverse, and crosstalk offset o reads as -o.
+
+Two more relations hold at zero read noise, on the same fixtures:
+
+- noise: no reading depends on ``seed`` or on ``trials_per_point``;
+- monotonicity: with a neighbor beside the last slot, raising
+  ``crosstalk_coupling`` or the neighbor's ``power_offset_db`` never raises
+  a reading (an outage counts as the lowest reading).
 """
 
 import copy
@@ -79,7 +86,7 @@ def scan(doc):
     sf = parse_scenario_file(doc)
     if not sf.slot_probes:
         return None
-    result = crosstalk_scan(sf.bench, sf.offsets)
+    result = crosstalk_scan(sf.bench, sf.offsets, trials=sf.trials_per_point)
     readings = [dict(zip(result.offsets, ch.gsnr_db)) for ch in result.channels]
     return result.offsets, readings
 
@@ -112,3 +119,50 @@ def test_mirror_keeps_every_reading(baseline):
     assert sorted(flipped_offsets) == sorted(-o for o in offsets)
     for channel, flipped_channel in zip(readings, reversed(flipped_readings), strict=True):
         assert {o: flipped_channel[-o] for o in offsets} == channel
+
+
+def readings(doc):
+    """Every sweep and crosstalk GSNR reading of a file, in order; an outage is -inf."""
+    values = [g for curve in sweep(doc) for _, g in curve]
+    scanned = scan(doc)
+    if scanned is not None:
+        values += [g for channel in scanned[1] for g in channel.values()]
+    return [-math.inf if g is None else g for g in values]
+
+
+def with_neighbor(doc, coupling, power_offset_db):
+    """The file with a 69 GBd neighbor 30 GHz past its last slot's edge."""
+    doc = copy.deepcopy(doc)
+    scenario = doc["scenario"]
+    edge = max(mc["center"] + mc["width"] / 2.0 for mc in scenario["media_channels"])
+    scenario["neighbors"] = [
+        {"symbol_rate": 69.0, "center": edge + 30.0, "power_offset_db": power_offset_db}
+    ]
+    scenario["crosstalk_coupling"] = coupling
+    return doc
+
+
+def test_seed_changes_no_reading(baseline):
+    doc, curves, scanned = baseline
+    reseeded = copy.deepcopy(doc)
+    reseeded["scenario"]["seed"] += 1
+    assert sweep(reseeded) == curves
+    assert scan(reseeded) == scanned
+
+
+@pytest.mark.parametrize("trials", (1, 3))
+def test_trials_change_no_reading(baseline, trials):
+    doc, curves, scanned = baseline
+    repeated = copy.deepcopy(doc)
+    repeated.setdefault("sweep", {})["trials_per_point"] = trials
+    assert sweep(repeated) == curves
+    assert scan(repeated) == scanned
+
+
+def test_more_crosstalk_never_raises_a_reading(baseline):
+    doc = baseline[0]
+    base = readings(with_neighbor(doc, coupling=0.05, power_offset_db=0.0))
+    for coupling, power_offset_db in ((0.2, 0.0), (0.05, 3.0)):
+        more = readings(with_neighbor(doc, coupling, power_offset_db))
+        assert all(m <= b for m, b in zip(more, base, strict=True))
+        assert more != base
