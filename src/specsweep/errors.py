@@ -6,7 +6,7 @@ class SpecsweepError(Exception):
 
 
 class ConfigurationError(SpecsweepError):
-    """A parameter combination is unusable (e.g. integration grid too coarse)."""
+    """A parameter combination is unusable (e.g. a crosstalk bench of fewer than 3 slots)."""
 
 
 class ScenarioFormatError(SpecsweepError):

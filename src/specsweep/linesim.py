@@ -175,16 +175,11 @@ def _cascade_on_grid(filters, grid):
 def local_gsnr_db(scenario, f):
     """Underlying GSNR profile at the absolute frequencies ``f`` (extrapolates).
 
-    The tilt is anchored at the span of the media channels. A single channel
-    is its own anchor, taken as is: its span's midpoint can differ by an ulp.
+    The tilt is anchored at the span of the media channels.
     """
-    if len(scenario.media_channels) == 1:
-        center, width = scenario.media_channels[0].center, scenario.media_channels[0].width
-    else:
-        lo, hi = scenario.span
-        center, width = (lo + hi) / 2.0, hi - lo
+    lo, hi = scenario.span
     profile = scenario.gsnr_profile
-    g = profile.base_gsnr_db + profile.tilt_db * (f - center) / width
+    g = profile.base_gsnr_db + profile.tilt_db * (f - (lo + hi) / 2.0) / (hi - lo)
     for rip in profile.ripple_components:
         g = g + rip.db(f)
     return g
@@ -235,9 +230,7 @@ def crosstalk_lin(scenario, victim):
     total = 0.0
     for nb in scenario.neighbors:
         ratio = (nb.symbol_rate / victim.symbol_rate) * 10.0 ** (nb.power_offset_db / 10.0)
-        chi = overlap_coefficient(
-            victim, nb, abs(nb.center - victim.center), resolution=scenario.grid.resolution
-        )
+        chi = overlap_coefficient(victim, nb, abs(nb.center - victim.center))
         total += ratio * chi
     return scenario.crosstalk_coupling * total
 

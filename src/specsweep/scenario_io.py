@@ -29,7 +29,7 @@ from specsweep.errors import ConfigurationError, ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
 from specsweep.linesim import CrosstalkBench, ProbeConfig, Scenario
 from specsweep.probe import SweepPlan
-from specsweep.spectral import check_overlap_resolution
+from specsweep.spectral import occupied_width
 
 SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
@@ -243,12 +243,15 @@ def parse_scenario_file(data):
                 f"slot [{mc.start}, {mc.stop}] GHz lies outside the scenario grid "
                 f"[{grid.start}, {grid.stop}] GHz",
             )
-    # Overlaps are integrated on the grid: sweep probes against the file's
-    # neighbors, each slot carrier against the other slots and the neighbors.
-    overlapping = (*scenario.neighbors, *sf.slot_probes, *(probes if scenario.neighbors else ()))
-    if overlapping:
-        with _at(f"{path}.scenario.grid"):
-            check_overlap_resolution(grid.resolution, min(s.symbol_rate for s in overlapping))
+    # Every read integrates its probe's spectrum on the grid, which must put
+    # points inside the occupied band of the narrowest probe.
+    widths = (occupied_width(p.symbol_rate, p.roll_off) for p in (*probes, *sf.slot_probes))
+    half_width = min(widths) / 2.0
+    if grid.resolution > half_width:
+        raise ScenarioFormatError(
+            f"{path}.scenario.grid",
+            f"resolution must be <= {half_width:g} GHz, half the narrowest probe's width",
+        )
     if sf.slot_probes:
         with _at(f"{path}.slot_probes"):
             bench = sf.bench
@@ -265,6 +268,8 @@ def load_scenario(path):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioFormatError(str(path), "invalid JSON: nested too deeply") from None
     return parse_scenario_file(data)
 
 

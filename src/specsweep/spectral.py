@@ -11,9 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from specsweep.errors import ConfigurationError
-
 DEFAULT_RESOLUTION = 0.05
+# Overlaps are integrated at DEFAULT_RESOLUTION, which resolves a spectrum
+# 20 steps wide or more: the narrowest symbol rate a spectrum may have.
+MIN_SYMBOL_RATE_GBD = 20 * DEFAULT_RESOLUTION
 DEFAULT_ROLL_OFF = 0.19
 # Upper bound on integration grid points, checked before the grid is built
 # (8 MB per float array at the bound).
@@ -36,8 +37,8 @@ def check_center(center):
 
 def occupied_width(symbol_rate, roll_off):
     """Spectral width (1 + roll_off) * symbol_rate of an RRC-shaped signal."""
-    if symbol_rate <= 0:
-        raise ValueError(f"symbol_rate must be > 0, got {symbol_rate}")
+    if not symbol_rate >= MIN_SYMBOL_RATE_GBD:
+        raise ValueError(f"symbol_rate must be >= {MIN_SYMBOL_RATE_GBD:g} GBd, got {symbol_rate}")
     if not 0.0 <= roll_off <= 1.0:
         raise ValueError(f"roll_off must be in [0, 1], got {roll_off}")
     return (1.0 + roll_off) * symbol_rate
@@ -176,34 +177,25 @@ def cascade_power_response(filters, f):
     return resp
 
 
-def check_overlap_resolution(resolution, symbol_rate):
-    """Raise ConfigurationError unless ``resolution`` resolves an overlap at ``symbol_rate``."""
-    if resolution > symbol_rate / 20.0:
-        raise ConfigurationError(
-            f"integration resolution {resolution} GHz too coarse for "
-            f"symbol rate {symbol_rate} GBd (max {symbol_rate / 20.0:.3f} GHz)"
-        )
-
-
-def overlap_coefficient(victim, interferer, spacing, resolution=DEFAULT_RESOLUTION):
+def overlap_coefficient(victim, interferer, spacing):
     """Self-normalized spectral overlap of two unit-power PSDs.
 
     chi(spacing) = int Sv(f) Si(f - spacing) df / int Sv(f)^2 df, so that two
     identical co-located signals give exactly 1 and disjoint supports give 0.
+    The integral runs at DEFAULT_RESOLUTION, whatever grid a scenario uses.
     """
     if spacing < 0:
         raise ValueError("spacing must be >= 0")
-    check_overlap_resolution(resolution, min(victim.symbol_rate, interferer.symbol_rate))
     if spacing >= (victim.occupied_width + interferer.occupied_width) / 2.0:
         return 0.0
-    f, sv, den = _victim_support(victim.symbol_rate, victim.roll_off, resolution)
+    f, sv, den = _victim_support(victim.symbol_rate, victim.roll_off)
     si = signal_psd(f - spacing, interferer)
     num = np.trapezoid(sv * si, f)
     return float(num / den)
 
 
 @lru_cache(maxsize=64)
-def _victim_support(symbol_rate, roll_off, resolution):
+def _victim_support(symbol_rate, roll_off):
     """Offsets across a victim's occupied band, its PSD there and int Sv^2 df.
 
     The PSD does not depend on the carrier, so one entry serves every
@@ -211,6 +203,6 @@ def _victim_support(symbol_rate, roll_off, resolution):
     """
     victim = SignalSpectrum(symbol_rate, roll_off)
     half_v = victim.occupied_width / 2.0
-    f = np.arange(-half_v, half_v + resolution, resolution)
+    f = np.arange(-half_v, half_v + DEFAULT_RESOLUTION, DEFAULT_RESOLUTION)
     sv = signal_psd(f, victim)
     return f, sv, np.trapezoid(sv * sv, f)

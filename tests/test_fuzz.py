@@ -156,7 +156,7 @@ FIXED_CASES = [
      "route_b.json", ("scenario", "grid"),
      {"start": -MAX_CENTER_GHZ, "stop": MAX_CENTER_GHZ, "resolution": 2.5}, 0),
     ("scenario.grid2",
-     "route_a.json", ("scenario", "grid"), {"start": -300.0, "stop": 300.0, "resolution": 2.0}, 2),
+     "route_a.json", ("scenario", "grid"), {"start": -300.0, "stop": 300.0, "resolution": 2.0}, 0),
     ("scenario.media_channels.0.center1",
      "xtalk_5slot.json", ("scenario", "media_channels", 0, "center"), 10000.0, 2),
     ("slot_probes",

@@ -395,11 +395,6 @@ def _two_slot_bench(doc):
     doc["slot_probes"] = doc["slot_probes"][:2]
 
 
-def _route_a_with_coarse_grid(doc):
-    doc["scenario"]["neighbors"] = [{"symbol_rate": 34.0, "center": 90.0}]
-    doc["scenario"]["grid"]["resolution"] = 2.0
-
-
 @pytest.mark.parametrize(
     "fixture,mutate,path",
     [
@@ -414,10 +409,9 @@ def _route_a_with_coarse_grid(doc):
             lambda d: d["scenario"]["media_channels"][0].update(center=10000.0),
             "$.scenario.media_channels[0]",
         ),
-        ("route_a.json", _route_a_with_coarse_grid, "$.scenario.grid"),
         (
-            "xtalk_5slot.json",
-            lambda d: d["scenario"]["grid"].update(resolution=69.0 / 20.0 + 0.01),
+            "route_c.json",
+            lambda d: d["scenario"]["grid"].update(resolution=50.0),
             "$.scenario.grid",
         ),
     ],
@@ -425,8 +419,7 @@ def _route_a_with_coarse_grid(doc):
         "two-slot-bench",
         "offsets-past-middle-slot",
         "slot-off-grid",
-        "grid-too-coarse-for-neighbors",
-        "grid-too-coarse-for-slots",
+        "grid-too-coarse-for-probes",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
@@ -443,11 +436,31 @@ def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, caps
     assert f"error: {path}: " in capsys.readouterr().err
 
 
-def test_load_scenario_bad_json(tmp_path):
+def test_load_scenario_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
-    p.write_text("{nope")
-    with pytest.raises(ScenarioFormatError):
-        load_scenario(p)
+    for text in ("{nope", "[" * 1000 + "]" * 1000):
+        p.write_text(text)
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(p)
+        assert err.value.path == str(p)
+    # Nesting too deep for the decoder is a validation error, not a traceback.
+    assert run_cli("validate", "--scenario", str(p)) == 2
+    assert f"error: {p}: invalid JSON" in capsys.readouterr().err
+
+
+def test_grid_as_coarse_as_half_the_narrowest_probe_runs(tmp_path, capsys):
+    """route_c's narrowest probe, at 34 GBd, is 40.46 GHz wide: a grid of
+    20.23 GHz runs every command that applies, and a coarser one fails validate."""
+    doc = json.loads(fixture_path("route_c.json").read_text())
+    p = tmp_path / "coarse.json"
+    doc["scenario"]["grid"]["resolution"] = 20.23
+    p.write_text(json.dumps(doc))
+    for command in ("validate", "sweep", "diagnose", "recommend"):
+        assert run_cli(command, "--scenario", str(p)) == 0, capsys.readouterr().err
+    doc["scenario"]["grid"]["resolution"] = 20.24
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario_file(doc)
+    assert err.value.path == "$.scenario.grid"
 
 
 def run_cli(*argv):

@@ -113,6 +113,30 @@ def test_crosstalk_lin_terms():
     assert crosstalk_lin(both, victim) == pytest.approx(2 * x1, abs=1e-12)
 
 
+def test_crosstalk_lin_ignores_grid_resolution():
+    """Overlaps integrate at one fixed resolution, so the scenario's grid
+    leaves the crosstalk term unchanged to the last bit."""
+    victim = SignalSpectrum(34.0, 0.19, center=10.0)
+    neighbors = (
+        NeighborChannel(69.0, 0.19, center=60.0, power_offset_db=2.0),
+        NeighborChannel(46.0, 0.5, center=-25.0),
+        NeighborChannel(1.0, 0.0, center=20.0),
+    )
+    terms = {
+        resolution: crosstalk_lin(
+            flat_scenario(
+                neighbors=neighbors,
+                crosstalk_coupling=0.1,
+                grid=FrequencyGrid(-300.0, 300.0, resolution),
+            ),
+            victim,
+        )
+        for resolution in (0.05, 0.025, 2.0)
+    }
+    assert terms[0.05] > 0.0
+    assert terms[0.025] == terms[0.05] == terms[2.0]
+
+
 def test_measure_ideal_matches_closed_form():
     sc = flat_scenario(17.0)
     for probe in (QPSK69, HYB46, QAM34):

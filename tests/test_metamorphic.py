@@ -1,8 +1,9 @@
 """Metamorphic gate: symmetries of the line model, checked on the fixtures.
 
 At zero read noise (the noise key includes the carrier, so a moved carrier
-draws other noise) every GSNR reading of a sweep and of a crosstalk scan
-must survive two transformations of the scenario file exactly:
+draws other noise) every GSNR reading of a sweep and of a crosstalk scan,
+and every sweep point's Q, must survive two transformations of the scenario
+file (the mirror's Q to within 1e-12 dB, see its test):
 
 - translation: every absolute frequency (media channels, filter and
   neighbor centers, grid ends) moves by a multiple of the grid resolution
@@ -11,7 +12,9 @@ must survive two transformations of the scenario file exactly:
   changes sign, each ripple phase maps to pi - phi, and the slots and their
   probes reverse; sweep curves reverse, and crosstalk offset o reads as -o.
 
-Two more relations hold at zero read noise, on the same fixtures:
+Two more relations hold at zero read noise, on the same fixtures and on
+seeded random scenario files (``test_io_cli.random_scenario_file``, drawn
+as ``test_fuzz`` draws its cases):
 
 - noise: no reading depends on ``seed`` or on ``trials_per_point``;
 - monotonicity: with a neighbor beside the last slot, raising
@@ -20,22 +23,36 @@ Two more relations hold at zero read noise, on the same fixtures:
 """
 
 import copy
+import functools
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from test_io_cli import random_scenario_file
 
 from specsweep import fixture_path
 from specsweep.linesim import open_session
 from specsweep.probe import crosstalk_scan, run_sweep
-from specsweep.scenario_io import parse_scenario_file
+from specsweep.scenario_io import parse_scenario_file, serialize_scenario_file
 
 FIXTURES = ("route_a", "route_b", "route_c", "xtalk_5slot", "xtalk_mixed")
+GENERATED = tuple(f"generated{k}" for k in range(8))
+
+
+@functools.cache
+def generated_docs():
+    """The generator's first files, from the seed that ``test_fuzz`` draws its cases with."""
+    rng = random.Random(20211029)
+    return [serialize_scenario_file(random_scenario_file(rng)) for _ in GENERATED]
 
 
 def noiseless_doc(name):
-    doc = json.loads(fixture_path(f"{name}.json").read_text())
+    if name in GENERATED:
+        doc = copy.deepcopy(generated_docs()[GENERATED.index(name)])
+    else:
+        doc = json.loads(fixture_path(f"{name}.json").read_text())
     doc["scenario"]["measurement_noise_sigma_db"] = 0.0
     return doc
 
@@ -74,11 +91,11 @@ def mirrored(doc):
 
 
 def sweep(doc, slot_index=0):
-    """Every probe's (carrier, GSNR) readings across one media channel."""
+    """Every probe's (carrier, GSNR, Q) readings across one media channel."""
     sf = parse_scenario_file(doc)
     plan = replace(sf.plan, slot=sf.scenario.media_channels[slot_index])
     result = run_sweep(open_session(sf.scenario), plan)
-    return [[(p.carrier, p.gsnr_db) for p in curve.points] for curve in result.curves]
+    return [[(p.carrier, p.gsnr_db, p.q_db) for p in curve.points] for curve in result.curves]
 
 
 def scan(doc):
@@ -91,27 +108,43 @@ def scan(doc):
     return result.offsets, readings
 
 
-@pytest.fixture(scope="module", params=FIXTURES)
-def baseline(request):
-    """A fixture at zero noise: its document, sweep and scan readings."""
-    doc = noiseless_doc(request.param)
+@functools.cache
+def noiseless(name):
+    """A fixture or a generated file at zero noise: its document, sweep and scan readings."""
+    doc = noiseless_doc(name)
     return doc, sweep(doc), scan(doc)
+
+
+@pytest.fixture(params=FIXTURES)
+def baseline(request):
+    return noiseless(request.param)
+
+
+@pytest.fixture(params=FIXTURES + GENERATED)
+def any_file(request):
+    return noiseless(request.param)
 
 
 @pytest.mark.parametrize("delta", (12.5, 100.0))
 def test_translation_keeps_every_reading(baseline, delta):
     doc, curves, scanned = baseline
     moved = translated(doc, delta)
-    assert sweep(moved) == [[(c + delta, g) for c, g in curve] for curve in curves]
+    assert sweep(moved) == [[(c + delta, g, q) for c, g, q in curve] for curve in curves]
     assert scan(moved) == scanned
 
 
 def test_mirror_keeps_every_reading(baseline):
     doc, curves, scanned = baseline
     flipped = mirrored(doc)
-    # The mirror of the first slot is the mirrored file's last slot.
+    # The mirror of the first slot is the mirrored file's last slot. Its
+    # integrals run over the mirrored grid in the opposite order, so Q may
+    # differ in the last bits; GSNR is the Q->SNR bisection's midpoint, which
+    # an error that small does not move.
     flipped_curves = sweep(flipped, slot_index=-1)
-    assert [[(-c, g) for c, g in reversed(curve)] for curve in flipped_curves] == curves
+    for curve, flipped_curve in zip(curves, flipped_curves, strict=True):
+        for (c, g, q), (fc, fg, fq) in zip(curve, reversed(flipped_curve), strict=True):
+            assert (-fc, fg) == (c, g)
+            assert fq == pytest.approx(q, rel=0.0, abs=1e-12)
     if scanned is None:
         return
     offsets, readings = scanned
@@ -123,7 +156,7 @@ def test_mirror_keeps_every_reading(baseline):
 
 def readings(doc):
     """Every sweep and crosstalk GSNR reading of a file, in order; an outage is -inf."""
-    values = [g for curve in sweep(doc) for _, g in curve]
+    values = [g for curve in sweep(doc) for _, g, _ in curve]
     scanned = scan(doc)
     if scanned is not None:
         values += [g for channel in scanned[1] for g in channel.values()]
@@ -142,8 +175,8 @@ def with_neighbor(doc, coupling, power_offset_db):
     return doc
 
 
-def test_seed_changes_no_reading(baseline):
-    doc, curves, scanned = baseline
+def test_seed_changes_no_reading(any_file):
+    doc, curves, scanned = any_file
     reseeded = copy.deepcopy(doc)
     reseeded["scenario"]["seed"] += 1
     assert sweep(reseeded) == curves
@@ -151,8 +184,8 @@ def test_seed_changes_no_reading(baseline):
 
 
 @pytest.mark.parametrize("trials", (1, 3))
-def test_trials_change_no_reading(baseline, trials):
-    doc, curves, scanned = baseline
+def test_trials_change_no_reading(any_file, trials):
+    doc, curves, scanned = any_file
     repeated = copy.deepcopy(doc)
     repeated.setdefault("sweep", {})["trials_per_point"] = trials
     assert sweep(repeated) == curves
@@ -166,3 +199,12 @@ def test_more_crosstalk_never_raises_a_reading(baseline):
         more = readings(with_neighbor(doc, coupling, power_offset_db))
         assert all(m <= b for m, b in zip(more, base, strict=True))
         assert more != base
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_more_crosstalk_never_raises_a_generated_reading(name):
+    doc = noiseless(name)[0]
+    base = readings(with_neighbor(doc, coupling=0.05, power_offset_db=0.0))
+    for coupling, power_offset_db in ((0.2, 0.0), (0.05, 3.0)):
+        more = readings(with_neighbor(doc, coupling, power_offset_db))
+        assert all(m <= b for m, b in zip(more, base, strict=True))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from specsweep.errors import ConfigurationError
 from specsweep.spectral import (
+    DEFAULT_RESOLUTION,
+    MIN_SYMBOL_RATE_GBD,
     FilterElement,
     FrequencyGrid,
     Ripple,
@@ -171,10 +172,15 @@ def test_overlap_equal_rate_symmetry():
         )
 
 
-def test_overlap_rejects_coarse_grid():
-    a = SignalSpectrum(34.0, 0.19)
-    with pytest.raises(ConfigurationError):
-        overlap_coefficient(a, a, 10.0, resolution=3.0)
+def test_spectrum_rejects_symbol_rate_below_overlap_resolution():
+    """Overlaps integrate at DEFAULT_RESOLUTION, which resolves a spectrum 20
+    steps wide or more: one of MIN_SYMBOL_RATE_GBD. Narrower ones are not built."""
+    assert MIN_SYMBOL_RATE_GBD == 20 * DEFAULT_RESOLUTION == 1.0
+    a = SignalSpectrum(MIN_SYMBOL_RATE_GBD, 0.0)
+    assert overlap_coefficient(a, a, 0.0) == pytest.approx(1.0, abs=1e-9)
+    for rate in (MIN_SYMBOL_RATE_GBD * (1 - 1e-9), 0.5, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="symbol_rate"):
+            SignalSpectrum(rate)
 
 
 def test_grid_point_count():
