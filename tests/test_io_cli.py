@@ -395,6 +395,13 @@ def _two_slot_bench(doc):
     doc["slot_probes"] = doc["slot_probes"][:2]
 
 
+def _route_a_with_coarse_grid(doc):
+    # Overlaps with neighbors no longer read the grid, so a neighbor adds no
+    # bound of its own: the grid is still checked against route_a's probes.
+    doc["scenario"]["neighbors"] = [{"symbol_rate": 34.0, "center": 90.0}]
+    doc["scenario"]["grid"]["resolution"] = 20.24
+
+
 @pytest.mark.parametrize(
     "fixture,mutate,path",
     [
@@ -414,12 +421,21 @@ def _two_slot_bench(doc):
             lambda d: d["scenario"]["grid"].update(resolution=50.0),
             "$.scenario.grid",
         ),
+        ("route_a.json", _route_a_with_coarse_grid, "$.scenario.grid"),
+        (
+            "xtalk_5slot.json",
+            # Half the 82.11 GHz width of the slot probes, the narrowest there.
+            lambda d: d["scenario"]["grid"].update(resolution=41.06),
+            "$.scenario.grid",
+        ),
     ],
     ids=[
         "two-slot-bench",
         "offsets-past-middle-slot",
         "slot-off-grid",
         "grid-too-coarse-for-probes",
+        "grid-too-coarse-for-neighbors",
+        "grid-too-coarse-for-slots",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
