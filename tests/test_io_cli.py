@@ -1,6 +1,7 @@
 """Scenario file format and CLI tests."""
 
 import ast
+import functools
 import hashlib
 import importlib.util
 import json
@@ -53,6 +54,10 @@ FIXTURE_HASHES = {
     "xtalk_mixed.json": "86b2b752614a7454",
 }
 GRID = {"start": -300.0, "stop": 300.0, "resolution": 0.05}
+BENCH = Path(__file__).parents[1] / "bench"
+# Report keys that describe the run rather than its results; the benchmark's
+# fixture digests leave them out.
+ENVELOPE = ("tool_version", "scenario_hash", "config")
 FIXTURE_CONFIGS = {
     name: {
         "crosstalk_coupling": coupling,
@@ -335,16 +340,15 @@ def test_readme_bounds_table_names_every_max_constant():
 def test_bench_trace_sites_exist():
     """Every attribute that bench/spans.py wraps for a traced run is still defined
     where it is looked up, so a refactor cannot make ``--trace 1`` crash."""
-    bench = Path(__file__).parents[1] / "bench"
     sites = next(
         ast.literal_eval(node.value)
-        for node in ast.parse((bench / "spans.py").read_text()).body
+        for node in ast.parse((BENCH / "spans.py").read_text()).body
         if isinstance(node, ast.Assign)
         and [getattr(target, "id", None) for target in node.targets] == ["SITES"]
     )
     workloads = {
         node.name
-        for node in ast.parse((bench / "workloads.py").read_text()).body
+        for node in ast.parse((BENCH / "workloads.py").read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
     assert sites
@@ -358,15 +362,26 @@ def test_bench_trace_sites_exist():
         assert attr in vars(owner), f"{path} has no attribute {attr}"
 
 
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, loaded from its file as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@functools.lru_cache(maxsize=None)
+def bench_expected():
+    return json.loads((BENCH / "expected.json").read_text())
+
+
 def test_bench_ops_match_recorded_digests():
     """The first three ops of each bench workload at seed 0 pass their checks and
     reproduce bench/expected.json, so an output change that the benchmark's digest
     check would reject fails here too."""
-    bench = Path(__file__).parents[1] / "bench"
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    expected = json.loads((bench / "expected.json").read_text())["workloads"]
+    workloads = bench_workloads()
+    expected = bench_expected()["workloads"]
     for name, workload in workloads.WORKLOADS.items():
         for k, text in enumerate(workload.pool(0)[:3]):
             raw = workload.op(text, workloads.ReadCounter())
@@ -700,6 +715,12 @@ def test_documented_command_succeeds(command, fixture, fmt, tmp_path, capsys):
         assert digest == CSV_DIGESTS[command, fixture]
         return
     report = _strict_json(out.read_text())
+    # The result sections alone match the benchmark's recorded fixture digest,
+    # so a schema change that moves only the envelope is told apart from one
+    # that moves results.
+    results = {k: v for k, v in report.items() if k not in ENVELOPE}
+    recorded = bench_expected()["fixtures"][f"{command} {fixture}"]["digest"]
+    assert bench_workloads().digest(results) == recorded
     assert report["scenario_hash"] == FIXTURE_HASHES[fixture]
     assert report["config"] == FIXTURE_CONFIGS[fixture]
     assert report_digest(report) == REPORT_DIGESTS[command, fixture]
