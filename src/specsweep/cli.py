@@ -81,7 +81,7 @@ def cmd_diagnose(sf):
 
 
 def cmd_crosstalk(sf):
-    scan = crosstalk_scan(sf.bench, sf.offsets, trials=sf.trials_per_point)
+    scan = crosstalk_scan(sf.bench, sf.crosstalk_offsets.values(), trials=sf.trials_per_point)
     return {"crosstalk": crosstalk_result_dict(scan)}, crosstalk_result_csv(scan)
 
 

@@ -108,7 +108,7 @@ class DiagnosisReport:
 
 def _widths(sweep):
     """Occupied width of each curve's probe, in curve order."""
-    return [occupied_width(c.probe.symbol_rate, c.probe.roll_off) for c in sweep.curves]
+    return [c.probe.occupied_width for c in sweep.curves]
 
 
 def _finite(curve):

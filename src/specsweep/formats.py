@@ -14,7 +14,8 @@ import numpy as np
 
 REFERENCE_BANDWIDTH_GHZ = 12.5
 FEC_BER = 2e-2
-DEFAULT_OUTAGE_BER = 5e-2
+# A reading whose BER is above this is an outage: the receiver loses lock.
+OUTAGE_BER = 5e-2
 SNR_FLOOR_DB = -30.0
 # Every catalog entry is planned with this margin above its FEC threshold.
 REQUIRED_MARGIN_DB = 1.0

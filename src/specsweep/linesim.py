@@ -17,8 +17,8 @@ import numpy as np
 
 from specsweep.errors import ConfigurationError
 from specsweep.formats import (
+    OUTAGE_BER,
     CatalogEntry,
-    DEFAULT_OUTAGE_BER,
     ber_from_snr,
     denormalize_gsnr,
     q_db_from_ber,
@@ -100,7 +100,6 @@ class Scenario:
     crosstalk_coupling: float = 1.0
     filtering_exponent: float = 2.0
     measurement_noise_sigma_db: float = 0.1
-    outage_ber: float = DEFAULT_OUTAGE_BER
     seed: int = 0
     grid: FrequencyGrid = FrequencyGrid(-300.0, 300.0)
 
@@ -116,8 +115,6 @@ class Scenario:
                 f"measurement_noise_sigma_db must be in [0, {MAX_NOISE_SIGMA_DB:g}], "
                 f"got {self.measurement_noise_sigma_db}"
             )
-        if not 0.0 < self.outage_ber < 0.5:
-            raise ValueError(f"outage_ber must be in (0, 0.5), got {self.outage_ber}")
 
     @cached_property  # read on every measurement
     def span(self):
@@ -133,26 +130,27 @@ class ProbeConfig:
 
     Launch power follows the constant-PSD rule (power proportional to symbol
     rate), and the model depends only on power ratios, so no absolute launch
-    power is configured.
+    power is configured. Every probe is one of our own catalog transceivers,
+    shaped at DEFAULT_ROLL_OFF; the id keeps that roll-off as its suffix.
     """
 
     entry: CatalogEntry
-    roll_off: float = DEFAULT_ROLL_OFF
-
-    def __post_init__(self):
-        if not 0.0 <= self.roll_off <= 1.0:
-            raise ValueError("roll_off must be in [0, 1]")
 
     @property
     def probe_id(self):
-        return f"{self.entry.name}/r{self.roll_off:g}"
+        return f"{self.entry.name}/r{DEFAULT_ROLL_OFF:g}"
 
     @property
     def symbol_rate(self):
         return self.entry.symbol_rate
 
     def spectrum_at(self, carrier):
-        return SignalSpectrum(self.entry.symbol_rate, self.roll_off, carrier)
+        """The probe's signal spectrum centred at ``carrier``."""
+        return SignalSpectrum(self.entry.symbol_rate, DEFAULT_ROLL_OFF, carrier)
+
+    @property
+    def occupied_width(self):
+        return self.spectrum_at(0.0).occupied_width
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ def _noiseless_q_db(scenario, carrier, probe):
 
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
     ber = ber_from_snr(probe.entry.format, snr_db)
-    if ber > scenario.outage_ber:
+    if ber > OUTAGE_BER:
         return None
     return q_db_from_ber(ber)
 
@@ -299,20 +297,17 @@ def measure(scenario, carrier, probe, trial_index=0):
 
 
 class BlackBoxProbe:
-    """What a spectrum customer actually has: a tunable probe on one slot.
+    """What a spectrum customer actually has: a tunable probe.
 
-    Exposes only carrier/probe selection, Q readout and the slot boundaries.
-    Scenario internals (filters, profile, neighbors) stay private.
+    Exposes only carrier/probe selection and Q readout; the slot to sweep
+    comes with the sweep plan. Scenario internals (filters, profile,
+    neighbors) stay private.
     """
 
     def __init__(self, scenario):
         self.__scenario = scenario
         self.__carrier = None
         self.__probe = None
-
-    @property
-    def slot(self):
-        return self.__scenario.media_channels[0]
 
     def set_carrier(self, carrier):
         self.__carrier = float(carrier)
@@ -334,10 +329,10 @@ def open_session(scenario):
 class CrosstalkBench:
     """Multi-slot layout where every slot carries one carrier.
 
-    Builds, per victim slot, the layout's scenario with the victim's slot
-    first (the probed slot, as in a sweep) and every other slot's carrier as
-    a neighbor channel after the scenario's own neighbors; the middle slot's
-    carrier can be offset within its slot to emulate a drifting customer.
+    Builds, per victim slot, the layout's scenario with every other slot's
+    carrier as a neighbor channel after the scenario's own neighbors; the
+    middle slot's carrier can be offset within its slot to emulate a
+    drifting customer.
     The crosstalk scan only ever sees the sessions this bench hands out, its
     ``probes`` (one per slot), ``victim_carrier`` and ``check_offset``.
 
@@ -359,7 +354,7 @@ class CrosstalkBench:
         self.probes = tuple(slot_probes)
         self.middle_slot = scenario.media_channels[self._middle_index]
         self._carriers = tuple(
-            NeighborChannel(p.symbol_rate, p.roll_off, center=mc.center)
+            NeighborChannel(**vars(p.spectrum_at(mc.center)))
             for p, mc in zip(self.probes, scenario.media_channels)
         )
 
@@ -385,11 +380,5 @@ class CrosstalkBench:
                 carriers[middle], center=self.victim_carrier(middle, central_offset)
             )
         del carriers[victim_index]
-        channels = list(self._scenario.media_channels)
-        victim = channels.pop(victim_index)
-        victim_scenario = replace(
-            self._scenario,
-            media_channels=(victim, *channels),
-            neighbors=(*self._scenario.neighbors, *carriers),
-        )
+        victim_scenario = replace(self._scenario, neighbors=(*self._scenario.neighbors, *carriers))
         return open_session(victim_scenario)

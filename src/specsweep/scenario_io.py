@@ -8,9 +8,9 @@ and the model differ: the file's top level with its sweep and recommend
 sections, and catalog entries given by name. Unknown fields are rejected,
 and errors carry a dotted field path (e.g. ``scenario.filters[0].order``)
 so fixture typos fail loudly. A ScenarioFile hands out what its runs need
-(``plan``, ``catalog``, ``bench``, ``offsets``); parsing builds and checks
-them, and the grid's fit to the file, so their errors carry a path too. A
-diagnosis report is likewise its dataclasses, key for field.
+(``plan``, ``catalog``, ``bench``); parsing builds and checks them, the
+crosstalk offsets and the grid's fit to the file, so their errors carry a
+path too. A diagnosis report is likewise its dataclasses, key for field.
 """
 
 import contextlib
@@ -29,7 +29,6 @@ from specsweep.errors import ConfigurationError, ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
 from specsweep.linesim import CrosstalkBench, ProbeConfig, Scenario
 from specsweep.probe import SweepPlan
-from specsweep.spectral import occupied_width
 
 SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
@@ -91,15 +90,6 @@ class ScenarioFile:
             )
         return CrosstalkBench(self.scenario, self.slot_probes)
 
-    @property
-    def offsets(self):
-        """The middle carrier's offsets: the file's, else sweep steps out to its slot's edges."""
-        offsets, step = self.crosstalk_offsets, self.sweep_step
-        if offsets is None:
-            n = int(self.bench.middle_slot.width / 2.0 / step)
-            offsets = CrosstalkOffsets(-n * step, n * step, step)
-        return offsets.values()
-
 
 @contextlib.contextmanager
 def _at(path):
@@ -146,6 +136,13 @@ def _catalog_entry(name, path):
         return catalog_entry(name)
     except KeyError:
         raise ScenarioFormatError(path, f"unknown catalog entry {name!r}") from None
+
+
+def _check_distinct(names, path):
+    """A repeated name fails at its index: the report would key both copies as one."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ScenarioFormatError(f"{path}[{i}]", f"repeats entry {name!r}")
 
 
 _LEAVES = {float: _float, int: _int, CatalogEntry: _catalog_entry}
@@ -215,6 +212,7 @@ def parse_scenario_file(data):
     probes = fields["probes"][0](data["probes"], f"{path}.probes")
     if not probes:
         raise ScenarioFormatError(f"{path}.probes", "must not be empty")
+    _check_distinct([p.entry.name for p in probes], f"{path}.probes")
     slot = scenario.media_channels[0]
     plan = _parse(SweepPlan, data.get("sweep", {}), f"{path}.sweep", slot=slot, probes=probes)
 
@@ -227,6 +225,7 @@ def parse_scenario_file(data):
         _check_keys(rec, rec_path, ("catalog", "guard_ghz"), ("catalog",))
         entries = _CATALOG_NAMES(rec["catalog"], f"{rec_path}.catalog")
         optional["recommend_catalog"] = tuple(entry.name for entry in entries)
+        _check_distinct(optional["recommend_catalog"], f"{rec_path}.catalog")
         if "guard_ghz" in rec:
             guard = _float(rec["guard_ghz"], f"{rec_path}.guard_ghz")
             if guard < 0:
@@ -245,8 +244,7 @@ def parse_scenario_file(data):
             )
     # Every read integrates its probe's spectrum on the grid, which must put
     # points inside the occupied band of the narrowest probe.
-    widths = (occupied_width(p.symbol_rate, p.roll_off) for p in (*probes, *sf.slot_probes))
-    half_width = min(widths) / 2.0
+    half_width = min(p.occupied_width for p in (*probes, *sf.slot_probes)) / 2.0
     if grid.resolution > half_width:
         raise ScenarioFormatError(
             f"{path}.scenario.grid",
@@ -255,8 +253,10 @@ def parse_scenario_file(data):
     if sf.slot_probes:
         with _at(f"{path}.slot_probes"):
             bench = sf.bench
+        if sf.crosstalk_offsets is None:
+            raise ScenarioFormatError(f"{path}.crosstalk_offsets", "missing required field")
         with _at(f"{path}.crosstalk_offsets"):
-            for off in sf.offsets:
+            for off in sf.crosstalk_offsets.values():
                 bench.check_offset(off)
     return sf
 

@@ -17,11 +17,11 @@ from specsweep.formats import (
     _BER_FLOOR,
     _SNR_TOL_DB,
     BUILTIN_CATALOG,
-    DEFAULT_OUTAGE_BER,
     DP_16QAM,
     DP_P_16QAM,
     DP_QPSK,
     FEC_BER,
+    OUTAGE_BER,
     SNR_FLOOR_DB,
     bisect,
     ber_from_q_db,
@@ -116,7 +116,7 @@ _rng = random.Random(16)
 INVERSION_BERS = (
     *(math.exp(_rng.uniform(math.log(_BER_FLOOR), math.log(0.5))) for _ in range(10_000)),
     FEC_BER,
-    DEFAULT_OUTAGE_BER,
+    OUTAGE_BER,
     _BER_FLOOR,
     1e-305,
     0.49,

@@ -47,11 +47,11 @@ CSV_COMMANDS = [("sweep", f) for f in FIXTURES] + [
 ]
 # Golden scenario hashes and report configs of the bundled fixtures.
 FIXTURE_HASHES = {
-    "route_a.json": "6ab1cac8e70aeeed",
-    "route_b.json": "cd659a0394d6c614",
-    "route_c.json": "102c86ed1169a224",
-    "xtalk_5slot.json": "ff56d62e5ae909f8",
-    "xtalk_mixed.json": "86b2b752614a7454",
+    "route_a.json": "3ef5ceb69dd81ed2",
+    "route_b.json": "78403d46fd064dfd",
+    "route_c.json": "290070f22dc5d5d3",
+    "xtalk_5slot.json": "7ec64ad7cf515fa5",
+    "xtalk_mixed.json": "7ed90ed61e626737",
 }
 GRID = {"start": -300.0, "stop": 300.0, "resolution": 0.05}
 BENCH = Path(__file__).parents[1] / "bench"
@@ -64,7 +64,6 @@ FIXTURE_CONFIGS = {
         "filtering_exponent": exponent,
         "grid": GRID,
         "measurement_noise_sigma_db": sigma,
-        "outage_ber": 0.05,
         "seed": seed,
         "sweep_step": 6.25,
         "trials_per_point": trials,
@@ -80,19 +79,19 @@ FIXTURE_CONFIGS = {
 # Golden outputs of the fixture commands: report_digest of each JSON report
 # and sha256 of each raw CSV text. Any change of report content shows here.
 REPORT_DIGESTS = {
-    ("sweep", "route_a.json"): "b825a51d073be5db3736c0378bc4356f0c4dcf339dbf1969f489ad02e200004a",
-    ("sweep", "route_b.json"): "dd100824d882cfb265687455120338c2f0c1b2ea54c5e5b26c340bea56633ed2",
-    ("sweep", "route_c.json"): "630e08531092ad3d8cf2580eb1e7aa7003cec525783cd790021e39d414024594",
-    ("sweep", "xtalk_5slot.json"): "ccccf21b3f7daf80842125ce04fd87eee983e869c4418633336e580d34d1e6b4",
-    ("sweep", "xtalk_mixed.json"): "73048bf4c7147b3106d0b71d2f9f0cb44ab9a5502ec44917c03530b86c6b3ffe",
-    ("diagnose", "route_a.json"): "58c8b153513c1f6b6c330c5266e1fc7fba647599b638f1ec454e43132a03bcdc",
-    ("diagnose", "route_b.json"): "19d86cfa867c62a01ee55eb6df83de2152475b66fabbf865ad566f020b99183d",
-    ("diagnose", "route_c.json"): "62c73727176e743507105bd662db624552a5985b9313c11e693e6795e1fa0a39",
-    ("diagnose", "xtalk_5slot.json"): "e428b303bca3cc5b7a8138bf99625ded728f01b9d2f07cdc8f8d82626ffa38b5",
-    ("diagnose", "xtalk_mixed.json"): "b8f517b3cd7fc08d5839a3dca127922791cb0acd8de02e75c9bc315ece882be3",
-    ("recommend", "route_c.json"): "85d5e1497c163d4ed57ed425ee194e72f8a77700f689b2c03c667eb360772bd3",
-    ("crosstalk", "xtalk_5slot.json"): "057a6118686b39f4406ca7c4c9e6b0c3dfffd65d7957bc1e728cdcaa45ea3120",
-    ("crosstalk", "xtalk_mixed.json"): "fe5266e7d9eb813a0f934c103d3869c3b1ddf59227f0a5ca51821d64471d660d",
+    ("sweep", "route_a.json"): "03f055dc17a026d1737893bcd0fe1f332178acac6dd9b5b1385a9350b6cb64ac",
+    ("sweep", "route_b.json"): "40c488507b10937ae3bd70530c9c07e9fb2c2cc350a9c86322559acca6456ab9",
+    ("sweep", "route_c.json"): "00428cc8753195e4a1b084435aef894dd8a8a94c6122f04a93752a49c8dc7477",
+    ("sweep", "xtalk_5slot.json"): "db6c20b91d64e81d979db4b16925b269154cef53778b09dea8093c0382140560",
+    ("sweep", "xtalk_mixed.json"): "fda7e0cdf9a8ec864a9c6617044cdf7229c735fddba9d48954a2f53de3bdce63",
+    ("diagnose", "route_a.json"): "8cb5bad758ca173d47845d4fb07bbbe4533b6992bd2d51c35635cd3ad976c022",
+    ("diagnose", "route_b.json"): "4cd7cbb6265433816f1f2349150309a570848b1140c055a137aec807353ee15b",
+    ("diagnose", "route_c.json"): "5175c99fa7f16b77c816b66a45c3932d4ff74eecf286d19e7232cbcfb168e47e",
+    ("diagnose", "xtalk_5slot.json"): "d5703773cb4d6438bb5077e415d3c468e10bbf1dcf8338c9d2b378dfd130afc1",
+    ("diagnose", "xtalk_mixed.json"): "3c30f18e08db0dea4925a1527b21934598c35ef83565087c38cc5d31eccb1f64",
+    ("recommend", "route_c.json"): "04b756ae1873538f9416db8a7b8769cead395b0a75120cf01cb50a75e6c97337",
+    ("crosstalk", "xtalk_5slot.json"): "ab8a691cfe4c53151d29b356bae4b0ccceb5b640c6831defc1c9ef3d0eb74d1e",
+    ("crosstalk", "xtalk_mixed.json"): "e1b5335e9f5a0e3b139a145337dfd899afd64ab4c9b1579f6d314e0d8eac7f12",
 }
 CSV_DIGESTS = {
     ("sweep", "route_a.json"): "a57137476ecd8f93138fe636fff18388b469758bb54b46840347a1f46a022805",
@@ -128,16 +127,19 @@ def test_fixtures_load_and_round_trip(name):
 def random_scenario_file(rng):
     """A valid ScenarioFile with every optional part present or absent at random.
 
-    Slot probes come only with a layout of at least 3 slots, and the offsets
-    stay inside every slot's half-width (at least 25 GHz), as parsing asks
-    of a crosstalk bench."""
+    Each filter passes near the center of one of the slots, so most sweeps
+    read. The probes are distinct catalog entries; slot probes come only
+    with a layout of at least 3 slots, together with offsets that stay
+    inside every slot's half-width (at least 25 GHz), as parsing asks of a
+    crosstalk bench."""
     num = lambda lo, hi: round(rng.uniform(lo, hi), rng.choice([0, 2, 9]))  # noqa: E731
 
     def ripple():
         return Ripple(num(0.0, 2.0), num(1.0, 80.0), rng.choice([0.0, num(-3.0, 3.0)]))
 
-    def probe():
-        return ProbeConfig(rng.choice(BUILTIN_CATALOG), rng.choice([0.19, num(0.0, 1.0)]))
+    def offsets():
+        start = num(-20.0, 0.0)
+        return CrosstalkOffsets(start, start + num(0.0, 20.0), num(1.0, 10.0))
 
     channels = tuple(
         MediaChannel(num(-200.0, 200.0), num(50.0, 150.0)) for _ in range(rng.randint(1, 5))
@@ -146,8 +148,8 @@ def random_scenario_file(rng):
         media_channels=channels,
         filters=tuple(
             FilterElement(
-                num(-50.0, 50.0),
-                num(20.0, 120.0),
+                rng.choice(channels).center + num(-5.0, 5.0),
+                num(40.0, 160.0),
                 order=rng.randint(1, 10),
                 ripple=ripple() if rng.random() < 0.5 else None,
             )
@@ -170,25 +172,21 @@ def random_scenario_file(rng):
         crosstalk_coupling=num(0.0, 1.0),
         filtering_exponent=num(1.0, 20.0),
         measurement_noise_sigma_db=num(0.0, 1.0),
-        outage_ber=rng.choice([0.05, round(rng.uniform(1e-3, 0.4), 9)]),
         seed=rng.randrange(1 << 40),
         grid=FrequencyGrid(num(-400.0, -300.0), num(300.0, 400.0), rng.choice([0.05, 0.1])),
     )
-    offsets = None
-    if rng.random() < 0.5:
-        start = num(-20.0, 0.0)
-        offsets = CrosstalkOffsets(start, start + num(0.0, 20.0), num(1.0, 10.0))
+    slot_probes = ()
+    if len(channels) >= 3 and rng.random() < 0.5:
+        slot_probes = tuple(ProbeConfig(rng.choice(BUILTIN_CATALOG)) for _ in channels)
     catalog = tuple(e.name for e in rng.sample(BUILTIN_CATALOG, rng.randint(0, 3)))
     return ScenarioFile(
         schema_version=1,
         scenario=scenario,
-        probes=tuple(probe() for _ in range(rng.randint(1, 3))),
+        probes=tuple(ProbeConfig(e) for e in rng.sample(BUILTIN_CATALOG, rng.randint(1, 3))),
         sweep_step=rng.choice([6.25, num(1.0, 25.0)]),
         trials_per_point=rng.randint(1, 9),
-        slot_probes=(
-            tuple(probe() for _ in channels) if len(channels) >= 3 and rng.random() < 0.5 else ()
-        ),
-        crosstalk_offsets=offsets,
+        slot_probes=slot_probes,
+        crosstalk_offsets=offsets() if slot_probes or rng.random() < 0.5 else None,
         recommend_catalog=catalog,
         recommend_guard_ghz=num(0.0, 10.0) if catalog else 0.0,
     )
@@ -215,9 +213,13 @@ def test_unknown_field_rejected_with_path():
         parse_scenario_file(doc)
     assert err.value.path == "$.scenario.filters[0].shape"
 
-    # Fields the model never read are gone from the schema.
+    # Fields the model never read, and settings that are now constants, are
+    # gone from the schema.
     for where, key in (
         (lambda d: d["scenario"], "fec_ber"),
+        (lambda d: d["scenario"], "outage_ber"),
+        (lambda d: d["probes"][0], "roll_off"),
+        (lambda d: d.setdefault("slot_probes", [{"entry": "200G-34GBd-DP-16QAM"}])[0], "roll_off"),
         (lambda d: d["scenario"]["media_channels"][0], "guard_band_each_side"),
         (lambda d: d["probes"][0], "p_ref_dbm"),
         (lambda d: d["probes"][0], "sr_ref_gbd"),
@@ -265,7 +267,7 @@ def test_valid_neighbor_keeps_its_hash():
     doc["scenario"]["neighbors"] = [NEIGHBOR]
     sf = parse_scenario_file(doc)
     assert serialize_scenario_file(sf)["scenario"]["neighbors"] == [{**NEIGHBOR, "roll_off": 0.19}]
-    assert scenario_hash(sf) == "39ca03df9d1d314d"
+    assert scenario_hash(sf) == "d0d2aaa5e52af555"
 
 
 def test_invalid_values_rejected():
@@ -302,10 +304,6 @@ def test_invalid_values_rejected():
     assert err.path == "$.scenario.filters[0].bandwidth_3db"
     err = rejected(lambda d: d["scenario"]["gsnr_profile"].update(base_gsnr_db=-math.inf))
     assert err.path == "$.scenario.gsnr_profile.base_gsnr_db"
-
-    for ber in (0.9, 0.5, 0.0, -1.0):
-        err = rejected(lambda d: d["scenario"].update(outage_ber=ber))
-        assert "outage_ber" in err.message
 
     # Size bounds, all far beyond the limit so nothing is allocated.
     err = rejected(
@@ -417,6 +415,15 @@ def _route_a_with_coarse_grid(doc):
     doc["scenario"]["grid"]["resolution"] = 20.24
 
 
+def _repeat_route_b_probe(doc):
+    doc["probes"] = [{"entry": e} for e in ("200G-69GBd-DP-QPSK",) * 2 + ("200G-34GBd-DP-16QAM",)]
+
+
+def _repeat_route_c_catalog_entry(doc):
+    names = ("300G-69GBd-DP-P-16QAM", "200G-69GBd-DP-QPSK", "300G-69GBd-DP-P-16QAM")
+    doc["recommend"]["catalog"] = list(names)
+
+
 @pytest.mark.parametrize(
     "fixture,mutate,path",
     [
@@ -443,6 +450,9 @@ def _route_a_with_coarse_grid(doc):
             lambda d: d["scenario"]["grid"].update(resolution=41.06),
             "$.scenario.grid",
         ),
+        ("xtalk_5slot.json", lambda d: d.pop("crosstalk_offsets"), "$.crosstalk_offsets"),
+        ("route_b.json", _repeat_route_b_probe, "$.probes[1]"),
+        ("route_c.json", _repeat_route_c_catalog_entry, "$.recommend.catalog[2]"),
     ],
     ids=[
         "two-slot-bench",
@@ -451,11 +461,17 @@ def _route_a_with_coarse_grid(doc):
         "grid-too-coarse-for-probes",
         "grid-too-coarse-for-neighbors",
         "grid-too-coarse-for-slots",
+        "slot-probes-without-offsets",
+        "repeated-probe",
+        "repeated-catalog-entry",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
-    """Each of these files once passed validate, and then every run that
-    reads the part at ``path`` failed; validate now rejects it there."""
+    """Each of these files once passed validate; validate now rejects it at
+    ``path``. Most then failed every run that reads that part. The last three
+    ran: a crosstalk scan over offsets derived from the sweep step, and a
+    report whose repeated probe or catalog entry shared one key with its
+    first copy."""
     doc = json.loads(fixture_path(fixture).read_text())
     mutate(doc)
     with pytest.raises(ScenarioFormatError) as err:
@@ -737,28 +753,20 @@ def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
     assert readings and all(math.isfinite(g) for g in readings)
 
 
-def _crosstalk_without_offsets(tmp_path):
-    doc = json.loads(fixture_path("xtalk_mixed.json").read_text())
-    del doc["crosstalk_offsets"]
-    p = tmp_path / "xtalk_default_offsets.json"
-    p.write_text(json.dumps(doc))
-    return str(p)
-
-
 @pytest.mark.parametrize("step", ["0", "-6.25", "nan", "inf", "1e-9"])
-def test_cli_step_override_gets_file_checks(step, tmp_path, capsys):
-    scenario = _crosstalk_without_offsets(tmp_path)
+def test_cli_step_override_gets_file_checks(step, capsys):
+    scenario = str(fixture_path("xtalk_mixed.json"))
     for command in ("crosstalk", "sweep"):
         assert run_cli(command, "--scenario", scenario, "--step", step) == 2
         assert "sweep step" in capsys.readouterr().err
 
 
-def test_trials_per_point_bounded_before_any_read(tmp_path, capsys, monkeypatch):
+def test_trials_per_point_bounded_before_any_read(capsys, monkeypatch):
     def no_reads(*args, **kwargs):
         raise AssertionError("measure() called before the trials bound was checked")
 
     monkeypatch.setattr(linesim, "measure", no_reads)
-    scenario = _crosstalk_without_offsets(tmp_path)
+    scenario = str(fixture_path("xtalk_mixed.json"))
     for trials in (str(MAX_TRIALS_PER_POINT + 1), "0"):
         for command in ("crosstalk", "sweep"):
             assert run_cli(command, "--scenario", scenario, "--trials", trials) == 2

@@ -288,7 +288,7 @@ def test_results_hold_python_floats():
     sweep = run_sweep(open_session(sf.scenario), sf.plan)
     values = [v for c in sweep.curves for p in c.points for v in (p.gsnr_db, p.q_db)]
     sf = load_fixture("xtalk_5slot.json")
-    scan = crosstalk_scan(sf.bench, sf.offsets)
+    scan = crosstalk_scan(sf.bench, sf.crosstalk_offsets.values())
     values += [v for ch in scan.channels for v in (*ch.gsnr_db, *ch.penalties_db)]
     readings = [v for v in values if v is not None]
     assert readings and all(type(v) is float for v in readings)
