@@ -119,7 +119,8 @@ def build_parser():
             continue
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-        p.add_argument("--step", type=float, help="override sweep step (GHz)")
+        if name != "crosstalk":  # the scan reads the file's offsets, not a step
+            p.add_argument("--step", type=float, help="override sweep step (GHz)")
         p.add_argument("--trials", type=int, help="override trials per point")
         p.add_argument("--seed-override", type=int, help="override scenario seed")
     return parser

@@ -354,7 +354,7 @@ class CrosstalkBench:
         self.probes = tuple(slot_probes)
         self.middle_slot = scenario.media_channels[self._middle_index]
         self._carriers = tuple(
-            NeighborChannel(**vars(p.spectrum_at(mc.center)))
+            NeighborChannel(p.symbol_rate, DEFAULT_ROLL_OFF, center=mc.center)
             for p, mc in zip(self.probes, scenario.media_channels)
         )
 

@@ -250,6 +250,8 @@ def parse_scenario_file(data):
             f"{path}.scenario.grid",
             f"resolution must be <= {half_width:g} GHz, half the narrowest probe's width",
         )
+    if sf.crosstalk_offsets is not None and not sf.slot_probes:
+        raise ScenarioFormatError(f"{path}.crosstalk_offsets", "given without slot_probes")
     if sf.slot_probes:
         with _at(f"{path}.slot_probes"):
             bench = sf.bench

@@ -127,11 +127,13 @@ def test_fixtures_load_and_round_trip(name):
 def random_scenario_file(rng):
     """A valid ScenarioFile with every optional part present or absent at random.
 
-    Each filter passes near the center of one of the slots, so most sweeps
-    read. The probes are distinct catalog entries; slot probes come only
-    with a layout of at least 3 slots, together with offsets that stay
-    inside every slot's half-width (at least 25 GHz), as parsing asks of a
-    crosstalk bench."""
+    Each filter passes near the center of the first slot, the one a sweep
+    reads, so most sweeps read: the cascade is a product over all filters,
+    and one centred on another slot would block the swept one. The probes
+    are distinct catalog entries; slot probes come only with a layout of at
+    least 3 slots, and offsets only with slot probes, staying inside every
+    slot's half-width (at least 25 GHz), as parsing asks of a crosstalk
+    bench."""
     num = lambda lo, hi: round(rng.uniform(lo, hi), rng.choice([0, 2, 9]))  # noqa: E731
 
     def ripple():
@@ -148,7 +150,7 @@ def random_scenario_file(rng):
         media_channels=channels,
         filters=tuple(
             FilterElement(
-                rng.choice(channels).center + num(-5.0, 5.0),
+                channels[0].center + num(-5.0, 5.0),
                 num(40.0, 160.0),
                 order=rng.randint(1, 10),
                 ripple=ripple() if rng.random() < 0.5 else None,
@@ -186,7 +188,7 @@ def random_scenario_file(rng):
         sweep_step=rng.choice([6.25, num(1.0, 25.0)]),
         trials_per_point=rng.randint(1, 9),
         slot_probes=slot_probes,
-        crosstalk_offsets=offsets() if slot_probes or rng.random() < 0.5 else None,
+        crosstalk_offsets=offsets() if slot_probes else None,
         recommend_catalog=catalog,
         recommend_guard_ghz=num(0.0, 10.0) if catalog else 0.0,
     )
@@ -451,6 +453,11 @@ def _repeat_route_c_catalog_entry(doc):
             "$.scenario.grid",
         ),
         ("xtalk_5slot.json", lambda d: d.pop("crosstalk_offsets"), "$.crosstalk_offsets"),
+        (
+            "route_a.json",
+            lambda d: d.update(crosstalk_offsets={"start": -1000.0, "stop": 1000.0, "step": 50.0}),
+            "$.crosstalk_offsets",
+        ),
         ("route_b.json", _repeat_route_b_probe, "$.probes[1]"),
         ("route_c.json", _repeat_route_c_catalog_entry, "$.recommend.catalog[2]"),
     ],
@@ -462,16 +469,18 @@ def _repeat_route_c_catalog_entry(doc):
         "grid-too-coarse-for-neighbors",
         "grid-too-coarse-for-slots",
         "slot-probes-without-offsets",
+        "offsets-without-slot-probes",
         "repeated-probe",
         "repeated-catalog-entry",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
     """Each of these files once passed validate; validate now rejects it at
-    ``path``. Most then failed every run that reads that part. The last three
-    ran: a crosstalk scan over offsets derived from the sweep step, and a
-    report whose repeated probe or catalog entry shared one key with its
-    first copy."""
+    ``path``. Most then failed every run that reads that part. The last four
+    ran: a crosstalk scan over offsets derived from the sweep step, offsets
+    that no scan reads and so only changed the scenario hash, and a report
+    whose repeated probe or catalog entry shared one key with its first
+    copy."""
     doc = json.loads(fixture_path(fixture).read_text())
     mutate(doc)
     with pytest.raises(ScenarioFormatError) as err:
@@ -756,9 +765,15 @@ def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
 @pytest.mark.parametrize("step", ["0", "-6.25", "nan", "inf", "1e-9"])
 def test_cli_step_override_gets_file_checks(step, capsys):
     scenario = str(fixture_path("xtalk_mixed.json"))
-    for command in ("crosstalk", "sweep"):
-        assert run_cli(command, "--scenario", scenario, "--step", step) == 2
-        assert "sweep step" in capsys.readouterr().err
+    assert run_cli("sweep", "--scenario", scenario, "--step", step) == 2
+    assert "sweep step" in capsys.readouterr().err
+
+
+def test_crosstalk_takes_no_step():
+    """The scan reads the file's crosstalk_offsets; a step would change no reading."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("crosstalk", "--scenario", str(fixture_path("xtalk_mixed.json")), "--step", "3.125")
+    assert exc.value.code == 2
 
 
 def test_trials_per_point_bounded_before_any_read(capsys, monkeypatch):
