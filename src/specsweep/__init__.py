@@ -27,7 +27,6 @@ from specsweep.linesim import (
     CrosstalkBench,
     MeasurementResult,
     MediaChannel,
-    ProbeConfig,
     Scenario,
     measure,
     open_session,
@@ -35,7 +34,7 @@ from specsweep.linesim import (
 from specsweep.probe import SweepPlan, SweepResult, crosstalk_scan, probe_point, run_sweep
 from specsweep.diagnosis import DiagnosisReport, diagnose, guard_band, recommend_carriers
 from specsweep.scenario_io import load_scenario, parse_scenario_file, scenario_hash
-from specsweep.spectral import FilterElement, FrequencyGrid, SignalSpectrum, occupied_width
+from specsweep.spectral import FilterElement, FrequencyGrid, SignalSpectrum
 
 __version__ = "1.0.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "MeasurementResult",
     "MediaChannel",
     "ModulationFormat",
-    "ProbeConfig",
     "Scenario",
     "ScenarioFormatError",
     "SignalSpectrum",
@@ -80,7 +78,6 @@ __all__ = [
     "load_scenario",
     "measure",
     "normalize_gsnr",
-    "occupied_width",
     "open_session",
     "parse_scenario_file",
     "probe_point",

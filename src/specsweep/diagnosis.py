@@ -14,7 +14,7 @@ import numpy as np
 
 from specsweep.errors import UndiagnosableError
 from specsweep.formats import bisect, required_gsnr
-from specsweep.spectral import DEFAULT_ROLL_OFF, SignalSpectrum, occupied_width, overlap_coefficient
+from specsweep.spectral import overlap_coefficient
 
 PENALTY_THRESHOLD_DB = 0.5
 DEFAULT_GUARD_PENALTY_DB = 0.1
@@ -260,7 +260,7 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     for center in carriers:
         placed = None
         for entry in entries:
-            width = occupied_width(entry.symbol_rate, DEFAULT_ROLL_OFF)
+            width = entry.occupied_width
             lo, hi = center - width / 2.0, center + width / 2.0
             if lo < cursor - 1e-9 or lo < slot.start - 1e-9 or hi > slot.stop + 1e-9:
                 continue
@@ -320,8 +320,8 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
         link_lin = 10.0 ** (link_gsnr_db / 10.0)
     except OverflowError:
         raise ValueError(f"link_gsnr_db is too large, got {link_gsnr_db}") from None
-    a = SignalSpectrum(entry_a.symbol_rate)
-    b = SignalSpectrum(entry_b.symbol_rate)
+    a = entry_a.spectrum_at(0.0)
+    b = entry_b.spectrum_at(0.0)
     half_sum = (a.occupied_width + b.occupied_width) / 2.0
     if not _pair_exceeds(0.0, a, b, link_lin, max_penalty_db):
         return GuardBandResult(0.0, 0.0)

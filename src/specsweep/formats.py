@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from specsweep.spectral import DEFAULT_ROLL_OFF, SignalSpectrum
+
 REFERENCE_BANDWIDTH_GHZ = 12.5
 FEC_BER = 2e-2
 # A reading whose BER is above this is an outage: the receiver loses lock.
@@ -65,7 +67,13 @@ class ModulationFormat:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One transceiver operating mode: format at a symbol rate and net rate."""
+    """One of our transceiver operating modes: format at a symbol rate and net rate.
+
+    A probe is a catalog entry. Launch power follows the constant-PSD rule
+    (power proportional to symbol rate), and the model depends only on power
+    ratios, so no absolute launch power is configured. Every entry is shaped
+    at DEFAULT_ROLL_OFF; ``probe_id`` keeps that roll-off as its suffix.
+    """
 
     name: str
     format: ModulationFormat
@@ -77,6 +85,18 @@ class CatalogEntry:
             raise ValueError("symbol_rate must be > 0")
         if self.net_data_rate_gbps <= 0:
             raise ValueError("net_data_rate_gbps must be > 0")
+
+    @property
+    def probe_id(self):
+        return f"{self.name}/r{DEFAULT_ROLL_OFF:g}"
+
+    def spectrum_at(self, center):
+        """The entry's signal spectrum centred at ``center``."""
+        return SignalSpectrum(self.symbol_rate, DEFAULT_ROLL_OFF, center)
+
+    @property
+    def occupied_width(self):
+        return self.spectrum_at(0.0).occupied_width
 
 
 DP_QPSK = ModulationFormat("DP-QPSK", _ber_qpsk, _snr_qpsk)

@@ -9,22 +9,15 @@ that the sweep engine and diagnosis are allowed to see.
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from specsweep.errors import ConfigurationError
-from specsweep.formats import (
-    OUTAGE_BER,
-    CatalogEntry,
-    ber_from_snr,
-    denormalize_gsnr,
-    q_db_from_ber,
-)
+from specsweep.formats import OUTAGE_BER, ber_from_snr, denormalize_gsnr, q_db_from_ber
 from specsweep.spectral import (
-    DEFAULT_ROLL_OFF,
     FilterElement,
     FrequencyGrid,
     Ripple,
@@ -52,6 +45,10 @@ class MediaChannel:
         check_center(self.center)
         if self.width <= 0:
             raise ValueError("media channel width must be > 0")
+        if self.start == self.stop:  # the tilt divides by the span
+            raise ValueError(
+                f"media channel width {self.width} GHz vanishes at center {self.center} GHz"
+            )
 
     @property
     def start(self):
@@ -122,35 +119,6 @@ class Scenario:
             min(mc.start for mc in self.media_channels),
             max(mc.stop for mc in self.media_channels),
         )
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """One transceiver configuration used for probing.
-
-    Launch power follows the constant-PSD rule (power proportional to symbol
-    rate), and the model depends only on power ratios, so no absolute launch
-    power is configured. Every probe is one of our own catalog transceivers,
-    shaped at DEFAULT_ROLL_OFF; the id keeps that roll-off as its suffix.
-    """
-
-    entry: CatalogEntry
-
-    @property
-    def probe_id(self):
-        return f"{self.entry.name}/r{DEFAULT_ROLL_OFF:g}"
-
-    @property
-    def symbol_rate(self):
-        return self.entry.symbol_rate
-
-    def spectrum_at(self, carrier):
-        """The probe's signal spectrum centred at ``carrier``."""
-        return SignalSpectrum(self.entry.symbol_rate, DEFAULT_ROLL_OFF, carrier)
-
-    @property
-    def occupied_width(self):
-        return self.spectrum_at(0.0).occupied_width
 
 
 @dataclass(frozen=True)
@@ -273,7 +241,7 @@ def _noiseless_q_db(scenario, carrier, probe):
     g_eff = 1.0 / inv_g_eff
 
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
-    ber = ber_from_snr(probe.entry.format, snr_db)
+    ber = ber_from_snr(probe.format, snr_db)
     if ber > OUTAGE_BER:
         return None
     return q_db_from_ber(ber)
@@ -354,7 +322,7 @@ class CrosstalkBench:
         self.probes = tuple(slot_probes)
         self.middle_slot = scenario.media_channels[self._middle_index]
         self._carriers = tuple(
-            NeighborChannel(p.symbol_rate, DEFAULT_ROLL_OFF, center=mc.center)
+            NeighborChannel(**asdict(p.spectrum_at(mc.center)))
             for p, mc in zip(self.probes, scenario.media_channels)
         )
 

@@ -16,8 +16,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from specsweep.errors import ConfigurationError
-from specsweep.formats import ber_from_q_db, normalize_gsnr, snr_from_ber
-from specsweep.linesim import MediaChannel, ProbeConfig
+from specsweep.formats import CatalogEntry, ber_from_q_db, normalize_gsnr, snr_from_ber
+from specsweep.linesim import MediaChannel
 
 DEFAULT_STEP_GHZ = 6.25
 # Upper bounds on carriers per sweep and reads per point, checked before
@@ -31,7 +31,7 @@ class SweepPlan:
     """Carrier grid and probe set for one sweep."""
 
     slot: MediaChannel
-    probes: Tuple[ProbeConfig, ...]
+    probes: Tuple[CatalogEntry, ...]
     step: float = DEFAULT_STEP_GHZ
     trials_per_point: int = 1
 
@@ -68,7 +68,7 @@ class SweepPoint:
 class ProbeCurve:
     """One probe's GSNR-vs-carrier curve."""
 
-    probe: ProbeConfig
+    probe: CatalogEntry
     points: Tuple[SweepPoint, ...]
 
     def carriers(self):
@@ -112,7 +112,7 @@ def probe_point(session, carrier, probe, trials=1):
         return SweepPoint(carrier)
     q = statistics.median(r.q_db for r in readings if not r.outage)
     ber = ber_from_q_db(q)
-    snr_db = snr_from_ber(probe.entry.format, ber)
+    snr_db = snr_from_ber(probe.format, ber)
     return SweepPoint(carrier, normalize_gsnr(snr_db, probe.symbol_rate), q)
 
 
@@ -138,7 +138,7 @@ def run_sweep(session, plan):
 class ChannelScan:
     """One channel's readings across the scan's central-carrier offsets."""
 
-    probe: ProbeConfig
+    probe: CatalogEntry
     gsnr_db: Tuple[Optional[float], ...]  # None at outage
     penalties_db: Tuple[Optional[float], ...]  # None where this or the aligned reading is outage
 

@@ -5,7 +5,8 @@ fields of its class, the annotations give their types, and a field without
 a default is required (a required list must not be empty). ``_parse`` and
 ``_dump`` walk those fields; hand-written code is left only where the file
 and the model differ: the file's top level with its sweep and recommend
-sections, and catalog entries given by name. Unknown fields are rejected,
+sections, and catalog entries given by name, a probe as ``{"entry": name}``
+and a recommend catalog as a list of names. Unknown fields are rejected,
 and errors carry a dotted field path (e.g. ``scenario.filters[0].order``)
 so fixture typos fail loudly. A ScenarioFile hands out what its runs need
 (``plan``, ``catalog``, ``bench``); parsing builds and checks them, the
@@ -27,7 +28,7 @@ from typing import Optional, Tuple
 
 from specsweep.errors import ConfigurationError, ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
-from specsweep.linesim import CrosstalkBench, ProbeConfig, Scenario
+from specsweep.linesim import CrosstalkBench, Scenario
 from specsweep.probe import SweepPlan
 
 SCHEMA_VERSION = 1
@@ -61,10 +62,10 @@ class CrosstalkOffsets:
 class ScenarioFile:
     schema_version: int
     scenario: Scenario
-    probes: Tuple[ProbeConfig, ...]
+    probes: Tuple[CatalogEntry, ...]
     sweep_step: float
     trials_per_point: int
-    slot_probes: Tuple[ProbeConfig, ...] = ()
+    slot_probes: Tuple[CatalogEntry, ...] = ()
     crosstalk_offsets: Optional[CrosstalkOffsets] = None
     recommend_catalog: Tuple[str, ...] = ()
     recommend_guard_ghz: float = 0.0
@@ -138,6 +139,12 @@ def _catalog_entry(name, path):
         raise ScenarioFormatError(path, f"unknown catalog entry {name!r}") from None
 
 
+def _probe(obj, path):
+    """A probe, ``{"entry": name}``, read as its catalog entry."""
+    _check_keys(obj, path, ("entry",), ("entry",))
+    return _catalog_entry(obj["entry"], f"{path}.entry")
+
+
 def _check_distinct(names, path):
     """A repeated name fails at its index: the report would key both copies as one."""
     for i, name in enumerate(names):
@@ -145,7 +152,18 @@ def _check_distinct(names, path):
             raise ScenarioFormatError(f"{path}[{i}]", f"repeats entry {name!r}")
 
 
-_LEAVES = {float: _float, int: _int, CatalogEntry: _catalog_entry}
+_LEAVES = {float: _float, int: _int, CatalogEntry: _probe}
+
+
+def _tuple_of(item):
+    """Function (JSON list, path) -> tuple of ``item`` applied to each element."""
+
+    def convert(val, path):
+        if not isinstance(val, list):
+            raise ScenarioFormatError(path, "expected a list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(val))
+
+    return convert
 
 
 def _converter(tp):
@@ -154,20 +172,13 @@ def _converter(tp):
         return _LEAVES[tp]
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # Tuple[X, ...]
-        item = _converter(args[0])
-
-        def convert(val, path):
-            if not isinstance(val, list):
-                raise ScenarioFormatError(path, "expected a list")
-            return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(val))
-
-        return convert
+        return _tuple_of(_converter(args[0]))
     if type(None) in args:  # Optional[X]: the key is absent when the value is None
         return _converter(args[0])
     return functools.partial(_parse, tp)
 
 
-_CATALOG_NAMES = _converter(Tuple[CatalogEntry, ...])
+_CATALOG_NAMES = _tuple_of(_catalog_entry)
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,7 +223,7 @@ def parse_scenario_file(data):
     probes = fields["probes"][0](data["probes"], f"{path}.probes")
     if not probes:
         raise ScenarioFormatError(f"{path}.probes", "must not be empty")
-    _check_distinct([p.entry.name for p in probes], f"{path}.probes")
+    _check_distinct([p.name for p in probes], f"{path}.probes")
     slot = scenario.media_channels[0]
     plan = _parse(SweepPlan, data.get("sweep", {}), f"{path}.sweep", slot=slot, probes=probes)
 
@@ -282,7 +293,7 @@ def _dump(obj):
     if isinstance(obj, tuple):
         return [_dump(item) for item in obj]
     if isinstance(obj, CatalogEntry):
-        return obj.name
+        return {"entry": obj.name}
     values = ((name, getattr(obj, name)) for name in _fields(type(obj)))
     return {name: _dump(val) for name, val in values if val is not None}
 

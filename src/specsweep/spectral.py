@@ -35,15 +35,6 @@ def check_center(center):
         raise ValueError(f"center must be within +/-{MAX_CENTER_GHZ:g} GHz, got {center}")
 
 
-def occupied_width(symbol_rate, roll_off):
-    """Spectral width (1 + roll_off) * symbol_rate of an RRC-shaped signal."""
-    if not symbol_rate >= MIN_SYMBOL_RATE_GBD:
-        raise ValueError(f"symbol_rate must be >= {MIN_SYMBOL_RATE_GBD:g} GBd, got {symbol_rate}")
-    if not 0.0 <= roll_off <= 1.0:
-        raise ValueError(f"roll_off must be in [0, 1], got {roll_off}")
-    return (1.0 + roll_off) * symbol_rate
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform integration grid from start to stop (GHz)."""
@@ -90,11 +81,17 @@ class SignalSpectrum:
     center: float = 0.0
 
     def __post_init__(self):
-        occupied_width(self.symbol_rate, self.roll_off)  # validates
+        if not self.symbol_rate >= MIN_SYMBOL_RATE_GBD:
+            raise ValueError(
+                f"symbol_rate must be >= {MIN_SYMBOL_RATE_GBD:g} GBd, got {self.symbol_rate}"
+            )
+        if not 0.0 <= self.roll_off <= 1.0:
+            raise ValueError(f"roll_off must be in [0, 1], got {self.roll_off}")
         check_center(self.center)
 
     @property
     def occupied_width(self):
+        """Spectral width (1 + roll_off) * symbol_rate."""
         return (1.0 + self.roll_off) * self.symbol_rate
 
 

@@ -32,15 +32,14 @@ from specsweep.formats import (
 from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
-    ProbeConfig,
     Scenario,
     open_session,
 )
 from specsweep.probe import SweepPlan, crosstalk_scan, run_sweep
-from specsweep.spectral import FilterElement, SignalSpectrum, occupied_width
+from specsweep.spectral import FilterElement, SignalSpectrum
 
 PROBES_200G = tuple(
-    ProbeConfig(catalog_entry(name))
+    catalog_entry(name)
     for name in ("200G-69GBd-DP-QPSK", "200G-46GBd-DP-P-16QAM", "200G-34GBd-DP-16QAM")
 )
 
@@ -55,10 +54,13 @@ def scan_fixture(name, offsets):
 
 
 def test_criterion_01_spectral_width_rule():
-    """occupied_width reproduces (1+r)*SR exactly for every catalog entry."""
+    """occupied_width reproduces (1+r)*SR exactly for every catalog entry, and
+    each entry occupies the width of its spectrum at the 0.19 roll-off."""
     for entry in BUILTIN_CATALOG:
         for r in (0.0, 0.19):
-            assert occupied_width(entry.symbol_rate, r) == (1.0 + r) * entry.symbol_rate
+            width = SignalSpectrum(entry.symbol_rate, r).occupied_width
+            assert width == (1.0 + r) * entry.symbol_rate
+        assert entry.occupied_width == (1.0 + 0.19) * entry.symbol_rate
 
 
 def test_criterion_02_ecp_premise():

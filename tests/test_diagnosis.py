@@ -23,16 +23,15 @@ from specsweep.formats import BUILTIN_CATALOG, bisect, catalog_entry
 from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
-    ProbeConfig,
     Scenario,
     open_session,
 )
 from specsweep.probe import SweepPlan, run_sweep
 from specsweep.spectral import FilterElement, Ripple, SignalSpectrum, overlap_coefficient
 
-QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
-HYB46 = ProbeConfig(catalog_entry("200G-46GBd-DP-P-16QAM"))
-QAM34 = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
+QPSK69 = catalog_entry("200G-69GBd-DP-QPSK")
+HYB46 = catalog_entry("200G-46GBd-DP-P-16QAM")
+QAM34 = catalog_entry("200G-34GBd-DP-16QAM")
 PROBES_200G = (QPSK69, HYB46, QAM34)
 
 
@@ -124,7 +123,7 @@ def test_effective_bandwidth_bounds_bracket_truth():
     the narrower probes survive, which is the regime the bracketing rule is
     designed for.
     """
-    robust34 = ProbeConfig(catalog_entry("100G-34GBd-DP-QPSK"))
+    robust34 = catalog_entry("100G-34GBd-DP-QPSK")
     sweep = make_sweep(
         base=13.2,
         filters=[FilterElement(0.0, 58.0, order=5)],

@@ -163,6 +163,8 @@ FIXED_CASES = [
      "route_a.json", ("slot_probes",), [{"entry": "200G-69GBd-DP-QPSK"}], 2),
     ("crosstalk_offsets",
      "xtalk_5slot.json", ("crosstalk_offsets",), {"start": -50.0, "stop": 50.0, "step": 6.25}, 2),
+    ("scenario.media_channels",
+     "route_c.json", ("scenario", "media_channels"), [{"center": 150.0, "width": 1e-14}], 2),
 ]
 
 

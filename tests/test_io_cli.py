@@ -20,7 +20,7 @@ from specsweep import fixture_path, linesim, load_fixture
 from specsweep.cli import main
 from specsweep.errors import ScenarioFormatError
 from specsweep.formats import BUILTIN_CATALOG
-from specsweep.linesim import GsnrProfile, MediaChannel, NeighborChannel, ProbeConfig, Scenario
+from specsweep.linesim import GsnrProfile, MediaChannel, NeighborChannel, Scenario
 from specsweep.probe import MAX_TRIALS_PER_POINT
 from specsweep.scenario_io import (
     CrosstalkOffsets,
@@ -179,12 +179,12 @@ def random_scenario_file(rng):
     )
     slot_probes = ()
     if len(channels) >= 3 and rng.random() < 0.5:
-        slot_probes = tuple(ProbeConfig(rng.choice(BUILTIN_CATALOG)) for _ in channels)
+        slot_probes = tuple(rng.choice(BUILTIN_CATALOG) for _ in channels)
     catalog = tuple(e.name for e in rng.sample(BUILTIN_CATALOG, rng.randint(0, 3)))
     return ScenarioFile(
         schema_version=1,
         scenario=scenario,
-        probes=tuple(ProbeConfig(e) for e in rng.sample(BUILTIN_CATALOG, rng.randint(1, 3))),
+        probes=tuple(rng.sample(BUILTIN_CATALOG, rng.randint(1, 3))),
         sweep_step=rng.choice([6.25, num(1.0, 25.0)]),
         trials_per_point=rng.randint(1, 9),
         slot_probes=slot_probes,
@@ -460,6 +460,11 @@ def _repeat_route_c_catalog_entry(doc):
         ),
         ("route_b.json", _repeat_route_b_probe, "$.probes[1]"),
         ("route_c.json", _repeat_route_c_catalog_entry, "$.recommend.catalog[2]"),
+        (
+            "route_b.json",
+            lambda d: d["scenario"]["media_channels"][0].update(width=5e-324),
+            "$.scenario.media_channels[0]",
+        ),
     ],
     ids=[
         "two-slot-bench",
@@ -472,15 +477,17 @@ def _repeat_route_c_catalog_entry(doc):
         "offsets-without-slot-probes",
         "repeated-probe",
         "repeated-catalog-entry",
+        "zero-span-slot",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
     """Each of these files once passed validate; validate now rejects it at
-    ``path``. Most then failed every run that reads that part. The last four
-    ran: a crosstalk scan over offsets derived from the sweep step, offsets
-    that no scan reads and so only changed the scenario hash, and a report
-    whose repeated probe or catalog entry shared one key with its first
-    copy."""
+    ``path``. Most then failed every run that reads that part. Four of the
+    last five ran: a crosstalk scan over offsets derived from the sweep
+    step, offsets that no scan reads and so only changed the scenario hash,
+    and a report whose repeated probe or catalog entry shared one key with
+    its first copy. The last, a slot whose start and stop are one float,
+    read every point as an outage (its tilt was 0 * x / 0)."""
     doc = json.loads(fixture_path(fixture).read_text())
     mutate(doc)
     with pytest.raises(ScenarioFormatError) as err:

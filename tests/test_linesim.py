@@ -22,7 +22,6 @@ from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
     NeighborChannel,
-    ProbeConfig,
     Scenario,
     crosstalk_lin,
     local_gsnr_db,
@@ -38,9 +37,9 @@ from specsweep.spectral import (
     signal_psd,
 )
 
-QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
-QAM34 = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
-HYB46 = ProbeConfig(catalog_entry("200G-46GBd-DP-P-16QAM"))
+QPSK69 = catalog_entry("200G-69GBd-DP-QPSK")
+QAM34 = catalog_entry("200G-34GBd-DP-16QAM")
+HYB46 = catalog_entry("200G-46GBd-DP-P-16QAM")
 
 
 def flat_scenario(base=17.0, **kwargs):
@@ -143,7 +142,7 @@ def test_measure_ideal_matches_closed_form():
     for probe in (QPSK69, HYB46, QAM34):
         res = measure(sc, 0.0, probe)
         snr = denormalize_gsnr(17.0, probe.symbol_rate)
-        expected = q_db_from_ber(ber_from_snr(probe.entry.format, snr))
+        expected = q_db_from_ber(ber_from_snr(probe.format, snr))
         assert not res.outage
         assert res.q_db == pytest.approx(expected, abs=1e-9)
 
@@ -157,7 +156,7 @@ def test_measure_crosstalk_composition():
     )
     res = measure(sc, 0.0, QPSK69)
     snr = denormalize_gsnr(20.0 - 10 * np.log10(2.0), 69.0)
-    expected = q_db_from_ber(ber_from_snr(QPSK69.entry.format, snr))
+    expected = q_db_from_ber(ber_from_snr(QPSK69.format, snr))
     assert res.q_db == pytest.approx(expected, abs=1e-6)
 
 
@@ -295,7 +294,7 @@ def reference_q_db(scenario, carrier, probe):
     g = np.trapezoid(weight * profile_lin, f) / norm * rho**scenario.filtering_exponent
     g_eff = 1.0 / (1.0 / g + crosstalk_lin(scenario, spectrum))
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
-    ber = ber_from_snr(probe.entry.format, snr_db)
+    ber = ber_from_snr(probe.format, snr_db)
     return None if ber > OUTAGE_BER else q_db_from_ber(ber)
 
 

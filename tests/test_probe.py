@@ -13,7 +13,6 @@ from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
     NeighborChannel,
-    ProbeConfig,
     Scenario,
     open_session,
 )
@@ -21,9 +20,9 @@ from specsweep.probe import SweepPlan, SweepPoint, crosstalk_scan, probe_point, 
 from specsweep.scenario_io import crosstalk_result_dict
 from specsweep.spectral import FilterElement
 
-QPSK69 = ProbeConfig(catalog_entry("200G-69GBd-DP-QPSK"))
-HYB46 = ProbeConfig(catalog_entry("200G-46GBd-DP-P-16QAM"))
-QAM34 = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
+QPSK69 = catalog_entry("200G-69GBd-DP-QPSK")
+HYB46 = catalog_entry("200G-46GBd-DP-P-16QAM")
+QAM34 = catalog_entry("200G-34GBd-DP-16QAM")
 PROBES_200G = (QPSK69, HYB46, QAM34)
 
 
@@ -86,7 +85,7 @@ def test_probe_point_even_trials_match_numpy_median(trials):
                 point = probe_point(session, carrier, probe, trials)
                 qs = [session.read_q(trial_index=t).q_db for t in range(trials)]
                 q = float(np.median(qs))
-                snr = snr_from_ber(probe.entry.format, ber_from_q_db(q))
+                snr = snr_from_ber(probe.format, ber_from_q_db(q))
                 gsnr = normalize_gsnr(snr, probe.symbol_rate)
                 assert point == SweepPoint(float(carrier), gsnr, q)
 
@@ -171,7 +170,7 @@ def test_crosstalk_scan_symmetry():
 
 
 def test_crosstalk_scan_mixed_rates_later_onset():
-    narrow_center = (QPSK69, QPSK69, ProbeConfig(catalog_entry("100G-34GBd-DP-QPSK")), QPSK69, QPSK69)
+    narrow_center = (QPSK69, QPSK69, catalog_entry("100G-34GBd-DP-QPSK"), QPSK69, QPSK69)
     mixed = crosstalk_scan(_bench(0.05644, narrow_center), (0.0, 12.5, 25.0))
     all69 = crosstalk_scan(_bench(0.05644, (QPSK69,) * 5), (0.0, 12.5, 25.0))
     # The 34 GBd central channel overlaps its neighbors only at larger
@@ -184,7 +183,7 @@ def test_crosstalk_outage_is_none_and_left_out_of_the_report():
     """At 13 dB the 16QAM center channel is in outage while its QPSK
     neighbors read: its readings and penalties are None, and its report
     points carry neither a GSNR nor a penalty."""
-    qam = ProbeConfig(catalog_entry("200G-34GBd-DP-16QAM"))
+    qam = catalog_entry("200G-34GBd-DP-16QAM")
     bench = _bench(0.0957, (QPSK69, QPSK69, qam, QPSK69, QPSK69), base=13.0)
     scan = crosstalk_scan(bench, (0.0, 6.25, 12.5))
     center = scan.channels[2]

@@ -1,8 +1,12 @@
 """Unit tests for the frequency-domain primitives."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specsweep
 from specsweep.spectral import (
     DEFAULT_RESOLUTION,
     MIN_SYMBOL_RATE_GBD,
@@ -12,25 +16,40 @@ from specsweep.spectral import (
     SignalSpectrum,
     cascade_power_response,
     filter_power_response,
-    occupied_width,
     overlap_coefficient,
     signal_psd,
 )
 
 
 def test_occupied_width_values():
-    assert occupied_width(69, 0.19) == pytest.approx(82.11)
-    assert occupied_width(34, 0.19) == pytest.approx(40.46)
-    assert occupied_width(46, 0.0) == 46.0
+    assert SignalSpectrum(69, 0.19).occupied_width == pytest.approx(82.11)
+    assert SignalSpectrum(34, 0.19).occupied_width == pytest.approx(40.46)
+    assert SignalSpectrum(46, 0.0).occupied_width == 46.0
 
 
 def test_occupied_width_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        occupied_width(0, 0.19)
-    with pytest.raises(ValueError):
-        occupied_width(34, 1.5)
-    with pytest.raises(ValueError):
-        occupied_width(34, -0.1)
+    with pytest.raises(ValueError, match="symbol_rate must be >= 1 GBd"):
+        SignalSpectrum(0, 0.19)
+    with pytest.raises(ValueError, match=r"roll_off must be in \[0, 1\]"):
+        SignalSpectrum(34, 1.5)
+    with pytest.raises(ValueError, match=r"roll_off must be in \[0, 1\]"):
+        SignalSpectrum(34, -0.1)
+
+
+def test_roll_off_is_named_only_where_it_is_decided():
+    """The roll-off of our transceivers is decided once: spectral defines
+    DEFAULT_ROLL_OFF and formats shapes every catalog entry with it. Every
+    other module asks an entry for its spectrum, width or probe id."""
+    package = Path(specsweep.__file__).parent
+    naming = set()
+    for module in package.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "DEFAULT_ROLL_OFF":
+                naming.add(module.stem)
+    assert naming == {"spectral", "formats"}
 
 
 def test_psd_plateau_and_support():
