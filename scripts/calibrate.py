@@ -58,9 +58,9 @@ def fixture_sweep(fixture):
 def route_a_check():
     _, sweep = fixture_sweep("route_a.json")
     out = {}
+    c = sweep.plan.carriers()
     for curve in sweep.curves:
-        c = curve.carriers()
-        g = curve.gsnr_db()
+        g = np.array(curve.gsnr_db, dtype=float)
         peak = float(np.nanmax(g))
         at = {off: float(g[np.argmin(np.abs(c - off))]) for off in (6.25, 18.75)}
         out[curve.probe.probe_id] = {

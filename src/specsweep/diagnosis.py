@@ -112,10 +112,9 @@ def _widths(sweep):
 
 
 def _finite(curve):
-    c = curve.carriers()
-    g = curve.gsnr_db()
-    mask = np.isfinite(g)
-    return c, g, mask
+    """The curve's GSNR readings as an array, NaN at outage, and where they are finite."""
+    g = np.array(curve.gsnr_db, dtype=float)
+    return g, np.isfinite(g)
 
 
 def estimate_center_offset(sweep):
@@ -125,11 +124,11 @@ def estimate_center_offset(sweep):
     averaged with curvature-squared weights (sharper peaks count more). A
     flat channel yields 0 with the low-confidence flag set.
     """
-    nominal = sweep.slot.center
+    c = sweep.plan.carriers()
     fits = []
     any_finite = False
     for curve in sweep.curves:
-        c, g, mask = _finite(curve)
+        g, mask = _finite(curve)
         if np.count_nonzero(mask) == 0:
             continue
         any_finite = True
@@ -144,8 +143,8 @@ def estimate_center_offset(sweep):
         curvature = y0 - 2.0 * y1 + y2  # negative at a genuine peak
         if curvature >= -_CURVATURE_FLOOR:
             continue
-        vertex = c[idx] + 0.5 * sweep.step * (y0 - y2) / curvature
-        fits.append((vertex - nominal, curvature * curvature))
+        vertex = c[idx] + 0.5 * sweep.plan.step * (y0 - y2) / curvature
+        fits.append((vertex - sweep.plan.slot.center, curvature * curvature))
     if not any_finite:
         raise UndiagnosableError("all probes in outage; cannot estimate offset")
     if not fits:
@@ -166,8 +165,8 @@ def estimate_effective_bandwidth(sweep):
     """
     widths = _widths(sweep)
     order = np.argsort(widths)
-    narrow = sweep.curves[order[0]]
-    c, g, mask = _finite(narrow)
+    c = sweep.plan.carriers()
+    g, mask = _finite(sweep.curves[order[0]])
     if np.count_nonzero(mask) == 0:
         raise UndiagnosableError("narrowest probe has no finite readings")
     peak_idx = int(np.nanargmax(np.where(mask, g, -np.inf)))
@@ -179,7 +178,7 @@ def estimate_effective_bandwidth(sweep):
     while hi < len(c) - 1 and ok[hi + 1]:
         hi += 1
     narrow_width = widths[order[0]]
-    upper = narrow_width + (c[hi] - c[lo]) + sweep.step
+    upper = narrow_width + (c[hi] - c[lo]) + sweep.plan.step
     degenerate = bool(np.count_nonzero(mask) == 1)
 
     working = [w for w, curve in zip(widths, sweep.curves) if curve.finite_fraction() > 0.0]
@@ -189,7 +188,7 @@ def estimate_effective_bandwidth(sweep):
         lower_bound_ghz=float(lower),
         upper_bound_ghz=float(upper),
         threshold_db=PENALTY_THRESHOLD_DB,
-        filter_limited=bool(upper < sweep.slot.width),
+        filter_limited=bool(upper < sweep.plan.slot.width),
         degenerate=degenerate,
         widest_working_width_ghz=float(widest_working),
     )
@@ -209,20 +208,19 @@ def _reference_curve(sweep):
 
 def estimate_tilt_ripple(sweep):
     """Least-squares tilt across the slot and peak-to-peak ripple residual."""
-    curve = _reference_curve(sweep)
-    c, g, mask = _finite(curve)
+    g, mask = _finite(_reference_curve(sweep))
     if np.count_nonzero(mask) < 4:
         raise UndiagnosableError("fewer than 4 finite points for tilt regression")
-    x, y = c[mask], g[mask]
+    x, y = sweep.plan.carriers()[mask], g[mask]
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
-    tilt = slope * sweep.slot.width
+    tilt = slope * sweep.plan.slot.width
     return TiltRippleEstimate(float(tilt), float(residuals.max() - residuals.min()))
 
 
-def _band_min_gsnr(curve, lo, hi):
-    """Minimum interpolated GSNR of ``curve`` over [lo, hi]; -inf if unusable."""
-    c, g, mask = _finite(curve)
+def _band_min_gsnr(curve, c, lo, hi):
+    """Minimum interpolated GSNR of ``curve``, read at ``c``, over [lo, hi]; -inf if unusable."""
+    g, mask = _finite(curve)
     if np.count_nonzero(mask) < 2:
         return -np.inf
     # Any outage sample inside the band disqualifies it outright.
@@ -252,8 +250,8 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     if not catalog:
         raise ValueError("catalog must be non-empty")
     entries = sorted(catalog, key=lambda e: (-e.net_data_rate_gbps, e.symbol_rate))
-    slot = sweep.slot
-    carriers = sweep.curves[0].carriers()
+    slot = sweep.plan.slot
+    carriers = sweep.plan.carriers()
     assignments: List[CarrierAssignment] = []
     shortfalls: Dict[str, float] = {}
     cursor = slot.start
@@ -265,7 +263,7 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0):
             if lo < cursor - 1e-9 or lo < slot.start - 1e-9 or hi > slot.stop + 1e-9:
                 continue
             min_gsnr = _band_min_gsnr(
-                _nearest_rate_curve(sweep, entry.symbol_rate), lo, hi
+                _nearest_rate_curve(sweep, entry.symbol_rate), carriers, lo, hi
             )
             margin = min_gsnr - required_gsnr(entry)
             if margin >= 0.0:
@@ -334,9 +332,9 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
     return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
 
 
-def _penalties(curve):
-    """The drop below the curve's peak GSNR at each of its points."""
-    c, g, mask = _finite(curve)
+def _penalties(curve, c):
+    """The drop below the curve's peak GSNR at each of its carriers ``c``."""
+    g, mask = _finite(curve)
     peak = np.max(g[mask], initial=-np.inf)
     return tuple(
         PenaltyPoint(float(x), float(peak - y) if ok else None) for x, y, ok in zip(c, g, mask)
@@ -347,7 +345,7 @@ def pre_emphasis(sweep):
     """Advisory per-carrier launch-power offsets that would flatten the slot."""
     return tuple(
         EmphasisPoint(p.carrier, min(p.penalty_db, PRE_EMPHASIS_CLIP_DB))
-        for p in _penalties(_reference_curve(sweep))
+        for p in _penalties(_reference_curve(sweep), sweep.plan.carriers())
         if p.penalty_db is not None
     )
 
@@ -372,20 +370,20 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
     guards = {}
     if catalog:
         plan = recommend_carriers(sweep, catalog, guard_ghz)
-        gsnr = np.concatenate([curve.gsnr_db() for curve in sweep.curves])
-        link = statistics.median(gsnr[np.isfinite(gsnr)].tolist())
+        link = statistics.median(g for c in sweep.curves for g in c.gsnr_db if g is not None)
         for i, ea in enumerate(catalog):
             for eb in catalog[i:]:
                 key = f"{ea.name}|{eb.name}"
                 guards[key] = guard_band(ea, eb, link)
 
+    carriers = sweep.plan.carriers()
     return DiagnosisReport(
         effective_bandwidth=bandwidth,
         center_offset=offset,
         tilt_db=tilt_ripple.tilt_db if tilt_ripple else None,
         ripple_pp_db=tilt_ripple.ripple_pp_db if tilt_ripple else None,
         per_probe_penalty_curves={
-            curve.probe.probe_id: _penalties(curve) for curve in sweep.curves
+            curve.probe.probe_id: _penalties(curve, carriers) for curve in sweep.curves
         },
         carrier_plan=plan,
         guard_band_recommendations=guards,

@@ -56,46 +56,31 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One carrier's reading; GSNR and Q are both None at an outage point."""
-
-    carrier: float
-    gsnr_db: Optional[float] = None
-    q_db: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class ProbeCurve:
-    """One probe's GSNR-vs-carrier curve."""
+    """One probe's readings, aligned with the plan's carriers; None at outage."""
 
     probe: CatalogEntry
-    points: Tuple[SweepPoint, ...]
-
-    def carriers(self):
-        return np.array([p.carrier for p in self.points])
-
-    def gsnr_db(self):
-        """GSNR values with NaN at outage points."""
-        return np.array([p.gsnr_db for p in self.points], dtype=float)
+    gsnr_db: Tuple[Optional[float], ...]
+    q_db: Tuple[Optional[float], ...]
 
     def finite_fraction(self):
-        vals = self.gsnr_db()
-        return float(np.count_nonzero(np.isfinite(vals))) / len(vals)
+        return sum(g is not None for g in self.gsnr_db) / len(self.gsnr_db)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    slot: MediaChannel
-    step: float
+    """Per probe of the plan, one curve of readings across ``plan.carriers()``."""
+
+    plan: SweepPlan
     curves: Tuple[ProbeCurve, ...]
 
 
 def probe_point(session, carrier, probe, trials=1):
-    """One sweep point: the median Q over ``trials`` reads and the GSNR it implies.
+    """One sweep point: the pair (GSNR, median Q over ``trials`` reads).
 
     Inverts the measurement chain: median Q -> BER -> in-band SNR via the
     probe format's curve -> GSNR in the reference bandwidth. The point is an
-    outage, with no Q, when most trials are. The median is
+    outage, ``(None, None)``, when most trials are. The median is
     ``statistics.median``: the middle Q, or the mean of the middle two, the
     same float ``np.median`` gives. The inversion is ``snr_from_ber``'s
     bisection, decided by the closed-form root where the format has one and
@@ -103,17 +88,16 @@ def probe_point(session, carrier, probe, trials=1):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    carrier = float(carrier)
-    session.set_carrier(carrier)
+    session.set_carrier(float(carrier))
     session.set_probe(probe)
     readings = [session.read_q(trial_index=t) for t in range(trials)]
     n_outage = sum(r.outage for r in readings)
     if 2 * n_outage > trials:
-        return SweepPoint(carrier)
+        return None, None
     q = statistics.median(r.q_db for r in readings if not r.outage)
     ber = ber_from_q_db(q)
     snr_db = snr_from_ber(probe.format, ber)
-    return SweepPoint(carrier, normalize_gsnr(snr_db, probe.symbol_rate), q)
+    return normalize_gsnr(snr_db, probe.symbol_rate), q
 
 
 def run_sweep(session, plan):
@@ -125,13 +109,11 @@ def run_sweep(session, plan):
     if not plan.probes:
         raise ConfigurationError("sweep plan has no probes")
     carriers = plan.carriers()
-    curves = tuple(
-        ProbeCurve(
-            probe, tuple(probe_point(session, c, probe, plan.trials_per_point) for c in carriers)
-        )
-        for probe in plan.probes
-    )
-    return SweepResult(plan.slot, plan.step, curves)
+    curves = []
+    for probe in plan.probes:
+        gsnr, q = zip(*(probe_point(session, c, probe, plan.trials_per_point) for c in carriers))
+        curves.append(ProbeCurve(probe, gsnr, q))
+    return SweepResult(plan, tuple(curves))
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,7 @@ def crosstalk_scan(bench, offsets, trials=1):
         reading = {
             off: probe_point(
                 bench.session(idx, off), bench.victim_carrier(idx, off), probe, trials
-            ).gsnr_db
+            )[0]
             for off in dict.fromkeys((0.0, *offsets))
         }
         baseline = reading[0.0]

@@ -344,20 +344,28 @@ def write_text_atomic(path, text):
         raise
 
 
+def _point(axis, value, **readings):
+    """One report point: its axis value, the outage flag (no GSNR) and the readings that exist."""
+    present = {key: val for key, val in readings.items() if val is not None}
+    return {axis: value, "outage": "gsnr_db" not in present, **present}
+
+
+def _cell(value):
+    """A CSV cell of an optional reading: empty at outage."""
+    return "" if value is None else f"{value:.4f}"
+
+
 def sweep_result_dict(sweep):
+    carriers = sweep.plan.carriers().tolist()
     return {
-        "slot": {"center": sweep.slot.center, "width": sweep.slot.width},
-        "step": sweep.step,
+        "slot": {"center": sweep.plan.slot.center, "width": sweep.plan.slot.width},
+        "step": sweep.plan.step,
         "curves": [
             {
                 "probe": curve.probe.probe_id,
                 "points": [
-                    {
-                        "carrier": p.carrier,
-                        "outage": p.gsnr_db is None,
-                        **({} if p.gsnr_db is None else {"gsnr_db": p.gsnr_db, "q_db": p.q_db}),
-                    }
-                    for p in curve.points
+                    _point("carrier", c, gsnr_db=g, q_db=q)
+                    for c, g, q in zip(carriers, curve.gsnr_db, curve.q_db)
                 ],
             }
             for curve in sweep.curves
@@ -367,10 +375,10 @@ def sweep_result_dict(sweep):
 
 def sweep_result_csv(sweep):
     lines = ["carrier,probe,gsnr_db,outage"]
+    carriers = sweep.plan.carriers()
     for curve in sweep.curves:
-        for p in curve.points:
-            gsnr = "" if p.gsnr_db is None else f"{p.gsnr_db:.4f}"
-            lines.append(f"{p.carrier:.4f},{curve.probe.probe_id},{gsnr},{int(p.gsnr_db is None)}")
+        for c, g in zip(carriers, curve.gsnr_db):
+            lines.append(f"{c:.4f},{curve.probe.probe_id},{_cell(g)},{int(g is None)}")
     return "\n".join(lines) + "\n"
 
 
@@ -382,12 +390,7 @@ def crosstalk_result_dict(scan):
                 "slot_index": k,
                 "probe": ch.probe.probe_id,
                 "points": [
-                    {
-                        "offset": off,
-                        "outage": g is None,
-                        **({} if g is None else {"gsnr_db": g}),
-                        **({} if pen is None else {"penalty_db": pen}),
-                    }
+                    _point("offset", off, gsnr_db=g, penalty_db=pen)
                     for off, g, pen in zip(scan.offsets, ch.gsnr_db, ch.penalties_db)
                 ],
             }
@@ -400,9 +403,7 @@ def crosstalk_result_csv(scan):
     lines = ["offset,slot_index,gsnr_db,penalty_db,outage"]
     for k, ch in enumerate(scan.channels):
         for off, g, pen in zip(scan.offsets, ch.gsnr_db, ch.penalties_db):
-            gsnr = "" if g is None else f"{g:.4f}"
-            penalty = "" if pen is None else f"{pen:.4f}"
-            lines.append(f"{off:.4f},{k},{gsnr},{penalty},{int(g is None)}")
+            lines.append(f"{off:.4f},{k},{_cell(g)},{_cell(pen)},{int(g is None)}")
     return "\n".join(lines) + "\n"
 
 

@@ -129,7 +129,7 @@ def test_effective_bandwidth_bounds_bracket_truth():
         filters=[FilterElement(0.0, 58.0, order=5)],
         probes=(QPSK69, HYB46, robust34),
     )
-    assert all(p.gsnr_db is None for p in sweep.curves[0].points)
+    assert all(g is None for g in sweep.curves[0].gsnr_db)
     bw = estimate_effective_bandwidth(sweep)
     assert bw.lower_bound_ghz <= 58.0 <= bw.upper_bound_ghz
 

@@ -95,7 +95,8 @@ def sweep(doc, slot_index=0):
     sf = parse_scenario_file(doc)
     plan = replace(sf.plan, slot=sf.scenario.media_channels[slot_index])
     result = run_sweep(open_session(sf.scenario), plan)
-    return [[(p.carrier, p.gsnr_db, p.q_db) for p in curve.points] for curve in result.curves]
+    carriers = result.plan.carriers().tolist()
+    return [list(zip(carriers, curve.gsnr_db, curve.q_db)) for curve in result.curves]
 
 
 def scan(doc):

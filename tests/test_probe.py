@@ -16,7 +16,7 @@ from specsweep.linesim import (
     Scenario,
     open_session,
 )
-from specsweep.probe import SweepPlan, SweepPoint, crosstalk_scan, probe_point, run_sweep
+from specsweep.probe import SweepPlan, crosstalk_scan, probe_point, run_sweep
 from specsweep.scenario_io import crosstalk_result_dict
 from specsweep.spectral import FilterElement
 
@@ -41,14 +41,13 @@ def flat_scenario(base=17.0, width=100.0, sigma=0.0, seed=5, **kwargs):
 def test_probe_point_inverts_measure():
     session = open_session(flat_scenario(17.0))
     for probe in PROBES_200G:
-        point = probe_point(session, 0.0, probe)
-        assert point.gsnr_db == pytest.approx(17.0, abs=0.01)
+        gsnr, _ = probe_point(session, 0.0, probe)
+        assert gsnr == pytest.approx(17.0, abs=0.01)
 
 
 def test_probe_point_outage_propagates():
     session = open_session(flat_scenario(3.0))
-    point = probe_point(session, 0.0, QAM34)
-    assert point.gsnr_db is None and point.q_db is None
+    assert probe_point(session, 0.0, QAM34) == (None, None)
 
 
 def test_probe_point_median_suppresses_noise():
@@ -62,8 +61,8 @@ def test_probe_point_median_suppresses_noise():
     seeds = range(300)
     for seed in seeds:
         session = open_session(flat_scenario(17.0, sigma=0.1, seed=seed))
-        gsnr5 = probe_point(session, 0.0, QPSK69, trials=5).gsnr_db
-        gsnr1 = probe_point(session, 0.0, QPSK69, trials=1).gsnr_db
+        gsnr5, _ = probe_point(session, 0.0, QPSK69, trials=5)
+        gsnr1, _ = probe_point(session, 0.0, QPSK69, trials=1)
         err5 += abs(gsnr5 - 17.0)
         err1 += abs(gsnr1 - 17.0)
         if abs(gsnr5 - 17.0) <= 0.15:
@@ -87,7 +86,7 @@ def test_probe_point_even_trials_match_numpy_median(trials):
                 q = float(np.median(qs))
                 snr = snr_from_ber(probe.format, ber_from_q_db(q))
                 gsnr = normalize_gsnr(snr, probe.symbol_rate)
-                assert point == SweepPoint(float(carrier), gsnr, q)
+                assert point == (gsnr, q)
 
 
 def test_sweep_grid_arithmetic():
@@ -108,7 +107,7 @@ def test_ecp_premise_flat_channel():
     session = open_session(flat_scenario(17.0))
     plan = SweepPlan(MediaChannel(0.0, 100.0), PROBES_200G)
     sweep = run_sweep(session, plan)
-    curves = [c.gsnr_db() for c in sweep.curves]
+    curves = [np.array(c.gsnr_db, dtype=float) for c in sweep.curves]
     for other in curves[1:]:
         np.testing.assert_allclose(curves[0], other, atol=0.1)
 
@@ -127,9 +126,9 @@ def test_sweep_deterministic_and_order_independent():
 def test_sweep_records_edge_outage_as_data():
     sc = flat_scenario(16.4, filters=(FilterElement(0.0, 50.0, order=4),))
     sweep = run_sweep(open_session(sc), SweepPlan(MediaChannel(0.0, 100.0), (QPSK69,)))
-    points = sweep.curves[0].points
-    assert points[0].gsnr_db is None  # slot edge, band far outside the filter
-    assert any(p.gsnr_db is not None for p in points)
+    gsnr = sweep.curves[0].gsnr_db
+    assert gsnr[0] is None  # slot edge, band far outside the filter
+    assert any(g is not None for g in gsnr)
 
 
 def _bench(kappa, probes, seed=42, base=20.0):
@@ -233,7 +232,7 @@ def test_crosstalk_victims_see_the_scenario_neighbors():
     nb = NeighborChannel(69.0, center=-100.0, power_offset_db=10.0)
     with_nb = replace(sf, scenario=replace(sf.scenario, neighbors=(nb,)))
     slot0 = probe_point(open_session(with_nb.scenario), -150.0, with_nb.slot_probes[0])
-    assert slot0.gsnr_db is None
+    assert slot0 == (None, None)
     alone = [ch.gsnr_db[0] for ch in crosstalk_scan(sf.bench, (0.0,)).channels]
     seen = [ch.gsnr_db[0] for ch in crosstalk_scan(with_nb.bench, (0.0,)).channels]
     assert None not in alone
@@ -277,15 +276,15 @@ def test_layout_profile_is_one_for_sweep_and_crosstalk():
     for slot, ch in zip(slots, scan.channels):
         assert ch.gsnr_db[0] == pytest.approx(expected(slot.center), abs=0.01)
     sweep = run_sweep(open_session(sc), SweepPlan(slots[0], (QPSK69,)))
-    for p in sweep.curves[0].points:
-        assert p.gsnr_db == pytest.approx(expected(p.carrier), abs=0.01)
+    for carrier, g in zip(sweep.plan.carriers(), sweep.curves[0].gsnr_db):
+        assert g == pytest.approx(expected(carrier), abs=0.01)
 
 
 def test_results_hold_python_floats():
     """GSNR readings and penalties are Python floats, as annotated, not numpy scalars."""
     sf = load_fixture("route_c.json")
     sweep = run_sweep(open_session(sf.scenario), sf.plan)
-    values = [v for c in sweep.curves for p in c.points for v in (p.gsnr_db, p.q_db)]
+    values = [v for c in sweep.curves for v in (*c.gsnr_db, *c.q_db)]
     sf = load_fixture("xtalk_5slot.json")
     scan = crosstalk_scan(sf.bench, sf.crosstalk_offsets.values())
     values += [v for ch in scan.channels for v in (*ch.gsnr_db, *ch.penalties_db)]
