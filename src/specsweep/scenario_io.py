@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import tempfile
 import typing
 from dataclasses import dataclass
@@ -274,11 +275,21 @@ def parse_scenario_file(data):
     return sf
 
 
+def _unique_keys(path, pairs):
+    """A decoded JSON object; a repeated key fails rather than keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioFormatError(str(path), f"invalid JSON: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path):
     """Load and strictly validate a scenario file from disk."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=functools.partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from exc
     except RecursionError:
@@ -331,12 +342,23 @@ def report_config(sf):
 
 
 def write_text_atomic(path, text):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The file gets the mode a plain ``open(path, "w")`` would leave: an
+    existing file keeps its mode, a new one gets 0o666 less the umask.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # read by setting; the CLI is single-threaded
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specsweep-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

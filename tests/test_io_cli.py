@@ -1,8 +1,10 @@
 """Scenario file format and CLI tests."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
+import importlib
 import importlib.util
 import json
 import math
@@ -337,6 +339,49 @@ def test_readme_bounds_table_names_every_max_constant():
     assert defined and documented == defined
 
 
+def test_readme_names_resolve():
+    """Each backticked dotted name in README whose head is a package module
+    (``specsweep.`` optional) or a CapWords class resolves: the head is that
+    module or a class of the package, each further part an attribute or a
+    dataclass field, and a name written as a call, ``name(...)``, is callable."""
+    package = Path(specsweep.__file__).parent
+    modules = {
+        m.stem: importlib.import_module(f"specsweep.{m.stem}")
+        for m in package.glob("*.py")
+        if m.stem != "__init__"
+    }
+    classes = {
+        name: obj
+        for module in modules.values()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__.startswith("specsweep")
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = re.sub(r"^```.*?^```", "", readme, flags=re.MULTILINE | re.DOTALL)
+    checked = 0
+    for text in re.findall(r"`([^`\n]+)`", readme):
+        match = re.fullmatch(r"(?:specsweep\.)?(\w+)((?:\.\w+)*)(\(.*\))?", text)
+        if match is None or "." not in text:
+            continue
+        head, rest, call = match.groups()
+        if head in modules:
+            obj = modules[head]
+        elif re.fullmatch(r"(?:[A-Z][a-z0-9]+)+", head):
+            assert head in classes, f"{text}: no class {head} in the package"
+            obj = classes[head]
+        else:
+            continue
+        for part in rest.split(".")[1:]:
+            fields = {}
+            if dataclasses.is_dataclass(obj):
+                fields = {f.name: f for f in dataclasses.fields(obj)}
+            assert hasattr(obj, part) or part in fields, f"{text}: no {part}"
+            obj = getattr(obj, part) if hasattr(obj, part) else fields[part]
+        assert not call or callable(obj), f"{text}: not callable"
+        checked += 1
+    assert checked
+
+
 def test_bench_trace_sites_exist():
     """Every attribute that bench/spans.py wraps for a traced run is still defined
     where it is looked up, so a refactor cannot make ``--trace 1`` crash."""
@@ -501,11 +546,19 @@ def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, caps
 
 def test_load_scenario_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
-    for text in ("{nope", "[" * 1000 + "]" * 1000):
+    # A repeated key would otherwise keep only its last value: here route_a
+    # would lose its filter and validate as an unfiltered slot.
+    doc = json.loads(fixture_path("route_a.json").read_text())
+    filters = json.dumps(doc["scenario"].pop("filters"))
+    repeated = json.dumps(doc).replace(
+        '"scenario": {', f'"scenario": {{"filters": {filters}, "filters": [], ', 1
+    )
+    for text in ("{nope", "[" * 1000 + "]" * 1000, repeated):
         p.write_text(text)
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(p)
         assert err.value.path == str(p)
+    assert err.value.message == "invalid JSON: repeated key 'filters'"
     # Nesting too deep for the decoder is a validation error, not a traceback.
     assert run_cli("validate", "--scenario", str(p)) == 2
     assert f"error: {p}: invalid JSON" in capsys.readouterr().err
@@ -570,6 +623,21 @@ def test_cli_sweep_output_grid(tmp_path):
     curves = report["sweep"]["curves"]
     assert len(curves) == 3
     assert all(len(c["points"]) == 17 for c in curves)
+
+
+def test_cli_out_file_mode_is_that_of_a_plain_write(tmp_path):
+    """A new report gets 0o666 less the umask; an existing one keeps its mode."""
+    out = tmp_path / "sweep.json"
+    argv = ("sweep", "--scenario", str(fixture_path("route_a.json")), "--out", str(out))
+    umask = os.umask(0o022)
+    try:
+        assert run_cli(*argv) == 0
+        assert out.stat().st_mode & 0o777 == 0o644
+        out.chmod(0o640)
+        assert run_cli(*argv) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(umask)
 
 
 def test_cli_deterministic_bytes(tmp_path):
