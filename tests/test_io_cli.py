@@ -553,15 +553,20 @@ def test_load_scenario_bad_json(tmp_path, capsys):
     repeated = json.dumps(doc).replace(
         '"scenario": {', f'"scenario": {{"filters": {filters}, "filters": [], ', 1
     )
-    for text in ("{nope", "[" * 1000 + "]" * 1000, repeated):
+    # Each is a validation error, not a traceback; nesting too deep for the
+    # decoder would otherwise raise RecursionError.
+    for text, message in (
+        ("{nope", "invalid JSON"),
+        ("[" * 1000 + "]" * 1000, "invalid JSON: nested too deeply"),
+        (repeated, "invalid JSON: repeated key 'filters'"),
+    ):
         p.write_text(text)
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(p)
         assert err.value.path == str(p)
-    assert err.value.message == "invalid JSON: repeated key 'filters'"
-    # Nesting too deep for the decoder is a validation error, not a traceback.
-    assert run_cli("validate", "--scenario", str(p)) == 2
-    assert f"error: {p}: invalid JSON" in capsys.readouterr().err
+        assert err.value.message.startswith(message)
+        assert run_cli("validate", "--scenario", str(p)) == 2
+        assert f"error: {p}: {message}" in capsys.readouterr().err
 
 
 def test_grid_as_coarse_as_half_the_narrowest_probe_runs(tmp_path, capsys):
