@@ -8,12 +8,7 @@ crosstalk, with carrier-placement and guard-band recommendations.
 
 from importlib import resources
 
-from specsweep.errors import (
-    ConfigurationError,
-    ScenarioFormatError,
-    SpecsweepError,
-    UndiagnosableError,
-)
+from specsweep.errors import ScenarioFormatError, UndiagnosableError
 from specsweep.formats import (
     BUILTIN_CATALOG,
     CatalogEntry,
@@ -54,7 +49,6 @@ __all__ = [
     "BUILTIN_CATALOG",
     "BlackBoxProbe",
     "CatalogEntry",
-    "ConfigurationError",
     "CrosstalkBench",
     "DiagnosisReport",
     "FilterElement",
@@ -65,7 +59,6 @@ __all__ = [
     "Scenario",
     "ScenarioFormatError",
     "SignalSpectrum",
-    "SpecsweepError",
     "SweepPlan",
     "SweepResult",
     "UndiagnosableError",

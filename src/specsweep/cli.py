@@ -1,10 +1,11 @@
 """Command-line interface: sweep, diagnose, crosstalk, recommend, validate.
 
-Exit codes: 0 success, 2 validation/configuration error, 3 undiagnosable
-sweep data, 4 I/O error. All outputs are deterministic given the input file
-(the random seed lives inside the scenario) and written atomically. Every
-command runs one pipeline: ``main`` loads the scenario file, hands it to the
-command's row of ``COMMANDS`` and emits the report sections it returns.
+Exit codes: 0 success, 2 a rejected input (``ValueError``), 3 undiagnosable
+sweep data (``UndiagnosableError``), 4 I/O error (``OSError``). All outputs
+are deterministic given the input file (the random seed lives inside the
+scenario) and written atomically. Every command runs one pipeline: ``main``
+loads the scenario file, hands it to the command's row of ``COMMANDS`` and
+emits the report sections it returns.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from dataclasses import asdict, replace
 
 from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
-from specsweep.errors import ConfigurationError, ScenarioFormatError, UndiagnosableError
+from specsweep.errors import UndiagnosableError
 from specsweep.linesim import open_session
 from specsweep.probe import crosstalk_scan, run_sweep
 from specsweep.scenario_io import (
@@ -87,9 +88,7 @@ def cmd_crosstalk(sf):
 
 def cmd_recommend(sf):
     if not sf.recommend_catalog:
-        raise ConfigurationError(
-            "recommend needs a scenario file with a recommend.catalog section"
-        )
+        raise ValueError("recommend needs a scenario file with a recommend.catalog section")
     sweep = _sweep(sf)
     plan = recommend_carriers(sweep, sf.catalog, sf.recommend_guard_ghz)
     return {"carrier_plan": asdict(plan)}, sweep_result_csv(sweep)
@@ -136,7 +135,7 @@ def main(argv=None):
         else:
             _emit(args, sf, *run(sf))
         return EXIT_OK
-    except (ScenarioFormatError, ConfigurationError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except UndiagnosableError as exc:

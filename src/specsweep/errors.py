@@ -1,15 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types of the package.
+
+A rejected input is a ``ValueError`` (CLI exit 2), so a file field's error
+is one too; sweep data too thin for an estimate is the one other type.
+"""
 
 
-class SpecsweepError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigurationError(SpecsweepError):
-    """A parameter combination is unusable (e.g. a crosstalk bench of fewer than 3 slots)."""
-
-
-class ScenarioFormatError(SpecsweepError):
+class ScenarioFormatError(ValueError):
     """A scenario or report file failed strict parsing/validation.
 
     ``path`` points at the offending field, e.g. ``scenario.filters[0].order``.
@@ -21,5 +17,5 @@ class ScenarioFormatError(SpecsweepError):
         super().__init__(f"{path}: {message}")
 
 
-class UndiagnosableError(SpecsweepError):
+class UndiagnosableError(Exception):
     """Sweep data is insufficient to produce the requested estimate."""

@@ -119,7 +119,7 @@ def catalog_entry(name):
     for entry in BUILTIN_CATALOG:
         if entry.name == name:
             return entry
-    raise KeyError(f"unknown catalog entry {name!r}")
+    raise ValueError(f"unknown catalog entry {name!r}")
 
 
 def bisect(below, lo, hi, tol):

@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from specsweep.errors import ConfigurationError
 from specsweep.formats import OUTAGE_BER, ber_from_snr, denormalize_gsnr, q_db_from_ber
 from specsweep.spectral import (
     FilterElement,
@@ -175,9 +174,7 @@ def _filtered_psd(scenario, spectrum):
     s = signal_psd(f - spectrum.center, spectrum)
     s_total = np.trapezoid(s, f)
     if s_total <= 0.0:
-        raise ConfigurationError(
-            f"signal at {spectrum.center} GHz lies outside the scenario grid"
-        )
+        raise ValueError(f"signal at {spectrum.center} GHz lies outside the scenario grid")
     if scenario.filters:
         weight = s * _cascade_on_grid(scenario.filters, scenario.grid)[window]
     else:
@@ -285,7 +282,7 @@ class BlackBoxProbe:
 
     def read_q(self, trial_index=0):
         if self.__carrier is None or self.__probe is None:
-            raise ConfigurationError("set_carrier and set_probe before read_q")
+            raise ValueError("set_carrier and set_probe before read_q")
         return measure(self.__scenario, self.__carrier, self.__probe, trial_index)
 
 
@@ -311,12 +308,12 @@ class CrosstalkBench:
 
     def __init__(self, scenario, slot_probes):
         if len(scenario.media_channels) != len(slot_probes):
-            raise ConfigurationError(
+            raise ValueError(
                 f"need one probe per media channel ({len(scenario.media_channels)}), "
                 f"got {len(slot_probes)}"
             )
         if len(slot_probes) < 3:
-            raise ConfigurationError("crosstalk bench needs at least 3 slots")
+            raise ValueError("crosstalk bench needs at least 3 slots")
         self._scenario = scenario
         self._middle_index = len(slot_probes) // 2
         self.probes = tuple(slot_probes)

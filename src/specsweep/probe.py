@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from specsweep.errors import ConfigurationError
 from specsweep.formats import CatalogEntry, ber_from_q_db, normalize_gsnr, snr_from_ber
 from specsweep.linesim import MediaChannel
 
@@ -50,9 +49,12 @@ class SweepPlan:
             )
 
     def carriers(self):
-        """Carrier frequencies from slot start to slot stop, inclusive."""
+        """Carrier frequencies from slot start to slot stop, inclusive.
+
+        A carrier that rounds past the stop is clamped to it.
+        """
         n = int(np.floor((self.slot.width + 1e-9) / self.step)) + 1
-        return self.slot.start + self.step * np.arange(n)
+        return np.minimum(self.slot.start + self.step * np.arange(n), self.slot.stop)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def run_sweep(session, plan):
     the slot; outage there is recorded as data, not an error.
     """
     if not plan.probes:
-        raise ConfigurationError("sweep plan has no probes")
+        raise ValueError("sweep plan has no probes")
     carriers = plan.carriers()
     curves = []
     for probe in plan.probes:

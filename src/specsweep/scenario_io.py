@@ -27,7 +27,7 @@ import typing
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from specsweep.errors import ConfigurationError, ScenarioFormatError
+from specsweep.errors import ScenarioFormatError
 from specsweep.formats import CatalogEntry, catalog_entry
 from specsweep.linesim import CrosstalkBench, Scenario
 from specsweep.probe import SweepPlan
@@ -87,7 +87,7 @@ class ScenarioFile:
     def bench(self):
         """The crosstalk bench of the layout, one slot probe per media channel."""
         if not self.slot_probes:
-            raise ConfigurationError(
+            raise ValueError(
                 "crosstalk needs a scenario file with slot_probes (one per media channel)"
             )
         return CrosstalkBench(self.scenario, self.slot_probes)
@@ -98,7 +98,7 @@ def _at(path):
     """A failed check of the model, reported as a format error at ``path``."""
     try:
         yield
-    except (ValueError, ConfigurationError) as exc:
+    except ValueError as exc:
         raise ScenarioFormatError(path, str(exc)) from exc
 
 
@@ -134,10 +134,8 @@ def _int(val, path):
 def _catalog_entry(name, path):
     if not isinstance(name, str):
         raise ScenarioFormatError(path, f"expected a string, got {name!r}")
-    try:
+    with _at(path):
         return catalog_entry(name)
-    except KeyError:
-        raise ScenarioFormatError(path, f"unknown catalog entry {name!r}") from None
 
 
 def _probe(obj, path):
@@ -236,6 +234,8 @@ def parse_scenario_file(data):
         rec, rec_path = data["recommend"], f"{path}.recommend"
         _check_keys(rec, rec_path, ("catalog", "guard_ghz"), ("catalog",))
         entries = _CATALOG_NAMES(rec["catalog"], f"{rec_path}.catalog")
+        if not entries:
+            raise ScenarioFormatError(f"{rec_path}.catalog", "must not be empty")
         optional["recommend_catalog"] = tuple(entry.name for entry in entries)
         _check_distinct(optional["recommend_catalog"], f"{rec_path}.catalog")
         if "guard_ghz" in rec:

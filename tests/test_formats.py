@@ -206,6 +206,6 @@ def test_catalog_contents():
     names = {e.name for e in BUILTIN_CATALOG}
     assert {"200G-69GBd-DP-QPSK", "200G-46GBd-DP-P-16QAM", "200G-34GBd-DP-16QAM"} <= names
     assert catalog_entry("300G-52GBd-DP-16QAM").symbol_rate == 52.0
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog entry 'nope'"):
         catalog_entry("nope")
 

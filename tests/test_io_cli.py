@@ -382,6 +382,40 @@ def test_readme_names_resolve():
     assert checked
 
 
+def test_one_exception_type_per_exit_code():
+    """``errors`` defines ScenarioFormatError, a ValueError, and
+    UndiagnosableError; no other module of the package defines an exception
+    class; and every ``raise`` in the package names ValueError,
+    ScenarioFormatError or UndiagnosableError, or re-raises. So exit 2 is
+    ValueError, 3 UndiagnosableError and 4 OSError, each one type."""
+    package = Path(specsweep.__file__).parent
+    allowed = {"ValueError", "ScenarioFormatError", "UndiagnosableError"}
+    raises = 0
+    for path in package.glob("*.py"):
+        module = importlib.import_module(
+            "specsweep" if path.stem == "__init__" else f"specsweep.{path.stem}"
+        )
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+        expected = {"ScenarioFormatError", "UndiagnosableError"} if path.stem == "errors" else set()
+        assert defined == expected, f"{path.name} defines {sorted(defined)}"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            call = node.exc
+            name = getattr(call.func, "id", None) if isinstance(call, ast.Call) else None
+            assert name in allowed, f"{path.name}:{node.lineno} raises {ast.unparse(call)}"
+            raises += 1
+    assert raises
+    assert issubclass(specsweep.ScenarioFormatError, ValueError)
+    assert not issubclass(specsweep.UndiagnosableError, (ValueError, OSError))
+
+
 def test_bench_trace_sites_exist():
     """Every attribute that bench/spans.py wraps for a traced run is still defined
     where it is looked up, so a refactor cannot make ``--trace 1`` crash."""
@@ -510,6 +544,11 @@ def _repeat_route_c_catalog_entry(doc):
             lambda d: d["scenario"]["media_channels"][0].update(width=5e-324),
             "$.scenario.media_channels[0]",
         ),
+        (
+            "route_c.json",
+            lambda d: d.update(recommend={"catalog": [], "guard_ghz": 5.0}),
+            "$.recommend.catalog",
+        ),
     ],
     ids=[
         "two-slot-bench",
@@ -523,6 +562,7 @@ def _repeat_route_c_catalog_entry(doc):
         "repeated-probe",
         "repeated-catalog-entry",
         "zero-span-slot",
+        "empty-recommend-catalog",
     ],
 )
 def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, capsys):
@@ -531,8 +571,10 @@ def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, caps
     last five ran: a crosstalk scan over offsets derived from the sweep
     step, offsets that no scan reads and so only changed the scenario hash,
     and a report whose repeated probe or catalog entry shared one key with
-    its first copy. The last, a slot whose start and stop are one float,
-    read every point as an outage (its tilt was 0 * x / 0)."""
+    its first copy. A slot whose start and stop are one float read every
+    point as an outage (its tilt was 0 * x / 0). An empty recommend catalog
+    hashed as no recommend section, guard band dropped, and recommend
+    failed on it."""
     doc = json.loads(fixture_path(fixture).read_text())
     mutate(doc)
     with pytest.raises(ScenarioFormatError) as err:

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specsweep.errors import ConfigurationError
 from specsweep.formats import (
     OUTAGE_BER,
     ber_from_snr,
@@ -222,7 +221,7 @@ def test_session_black_box_surface():
     session = open_session(flat_scenario())
     public = [n for n in dir(session) if not n.startswith("_")]
     assert sorted(public) == ["read_q", "set_carrier", "set_probe"]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="set_carrier and set_probe before read_q"):
         session.read_q()
     session.set_carrier(0.0)
     session.set_probe(QPSK69)
@@ -259,7 +258,7 @@ def test_bench_geometry_and_validation():
     assert bench.victim_carrier(3, 10.0) == 75.0
     with pytest.raises(ValueError):
         bench.session(2, 40.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match=r"need one probe per media channel \(5\), got 3"):
         CrosstalkBench(five_slot_bench()._scenario, (QPSK69,) * 3)
 
 
@@ -367,13 +366,14 @@ def test_windowed_integral_matches_full_grid():
 
 def test_signal_off_the_grid_still_raises():
     sc = flat_scenario(media_channels=(MediaChannel(300.0, 100.0),), grid=FrequencyGrid(-100.0, 100.0))
+    off_grid = "GHz lies outside the scenario grid"
     for carrier in (260.0, 300.0):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match=f"signal at {carrier} {off_grid}"):
             measure(sc, carrier, QPSK69)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match=f"signal at -300.0 {off_grid}"):
         _filtered_psd(sc, SignalSpectrum(69.0, 0.19, -300.0))
     # So far off a fine grid that the grid index of the band overflows a float.
     tiny = flat_scenario(grid=FrequencyGrid(0.0, 1e-300, 1e-305))
     for center in (1e6, -1e6):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match=f"signal at {center} {off_grid}"):
             _filtered_psd(tiny, SignalSpectrum(69.0, 0.19, center))

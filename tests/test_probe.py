@@ -1,12 +1,13 @@
 """Probe-engine tests: sweeping, GSNR conversion, crosstalk scan."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specsweep import load_fixture
-from specsweep.errors import ConfigurationError
+from specsweep import fixture_path, load_fixture
+from specsweep.cli import main
 from specsweep.formats import ber_from_q_db, catalog_entry, normalize_gsnr, snr_from_ber
 from specsweep.linesim import (
     CrosstalkBench,
@@ -96,9 +97,33 @@ def test_sweep_grid_arithmetic():
     assert carriers[0] == -50.0 and carriers[-1] == pytest.approx(50.0)
 
 
+def test_sweep_carriers_end_at_the_slot_stop(tmp_path, capsys):
+    """start + step * (n - 1) can round a few 1e-14 GHz past the slot stop,
+    and such a carrier failed every read of the sweep. Over single slots
+    37.5-400 GHz wide at 5 centers, with steps width / k for k = 2..59,
+    no carrier passes the stop and the last is the stop, to within rounding."""
+    for width in np.arange(37.5, 400.0 + 1e-9, 12.5):
+        for center in (-187.5, -31.25, 0.0, 43.75, 193.1):
+            slot = MediaChannel(center, float(width))
+            for k in range(2, 60):
+                carriers = SweepPlan(slot, (QAM34,), step=float(width) / k).carriers()
+                assert len(carriers) == k + 1 and carriers.max() <= slot.stop
+                assert carriers[-1] == pytest.approx(slot.stop, rel=0, abs=1e-9)
+    # route_b narrowed to 62.5 GHz and unfiltered: 12.5 / 3 GHz steps landed
+    # the last carrier at 31.250000000000007 GHz, and sweep exited 2.
+    doc = json.loads(fixture_path("route_b.json").read_text())
+    doc["scenario"]["media_channels"][0]["width"] = 62.5
+    doc["scenario"]["filters"] = []
+    doc["sweep"]["step"] = 12.5 / 3
+    p = tmp_path / "narrow.json"
+    p.write_text(json.dumps(doc))
+    for command in ("sweep", "diagnose"):
+        assert main([command, "--scenario", str(p)]) == 0, capsys.readouterr().err
+
+
 def test_run_sweep_requires_probes():
     plan = SweepPlan(MediaChannel(0.0, 100.0), ())
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="sweep plan has no probes"):
         run_sweep(open_session(flat_scenario()), plan)
 
 
