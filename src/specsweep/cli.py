@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 2 a rejected input (``ValueError``), 3 undiagnosable
 sweep data (``UndiagnosableError``), 4 I/O error (``OSError``). All outputs
-are deterministic given the input file (the random seed lives inside the
-scenario) and written atomically. Every command runs one pipeline: ``main``
-loads the scenario file, hands it to the command's row of ``COMMANDS`` and
-emits the report sections it returns.
+are deterministic given the input file, which sets every value of a run
+(sweep step, trials per point and random seed included), and written
+atomically. Every command runs one pipeline: ``main`` loads the scenario
+file, hands it to the command's row of ``COMMANDS`` and emits the report
+sections it returns.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from specsweep import __version__
 from specsweep.diagnosis import diagnose, recommend_carriers
@@ -34,18 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNDIAGNOSABLE = 3
 EXIT_IO = 4
-
-
-def _load(args):
-    sf = load_scenario(args.scenario)
-    if getattr(args, "seed_override", None) is not None:
-        sf = replace(sf, scenario=replace(sf.scenario, seed=args.seed_override))
-    if getattr(args, "step", None) is not None:
-        sf = replace(sf, sweep_step=args.step)
-    if getattr(args, "trials", None) is not None:
-        sf = replace(sf, trials_per_point=args.trials)
-    sf.plan  # the overrides get the checks of the file's sweep section
-    return sf
 
 
 def _emit(args, sf, json_body, csv_text):
@@ -118,10 +107,6 @@ def build_parser():
             continue
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-        if name != "crosstalk":  # the scan reads the file's offsets, not a step
-            p.add_argument("--step", type=float, help="override sweep step (GHz)")
-        p.add_argument("--trials", type=int, help="override trials per point")
-        p.add_argument("--seed-override", type=int, help="override scenario seed")
     return parser
 
 
@@ -129,7 +114,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     run = COMMANDS[args.command][0]
     try:
-        sf = _load(args)
+        sf = load_scenario(args.scenario)
         if run is None:
             sys.stdout.write(f"ok {scenario_hash(sf)}\n")
         else:

@@ -275,22 +275,22 @@ def parse_scenario_file(data):
     return sf
 
 
-def _unique_keys(path, pairs):
+def _unique_keys(pairs):
     """A decoded JSON object; a repeated key fails rather than keeping its last value."""
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ScenarioFormatError(str(path), f"invalid JSON: repeated key {key!r}")
+            raise ValueError(f"repeated key {key!r}")
         obj[key] = value
     return obj
 
 
 def load_scenario(path):
-    """Load and strictly validate a scenario file from disk."""
+    """Load and strictly validate a UTF-8 scenario file from disk."""
     try:
-        with open(path) as fh:
-            data = json.load(fh, object_pairs_hook=functools.partial(_unique_keys, path))
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad syntax or encoding, a repeated key, an overlong integer
         raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ScenarioFormatError(str(path), "invalid JSON: nested too deeply") from None

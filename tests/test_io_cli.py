@@ -19,7 +19,7 @@ import pytest
 
 import specsweep
 from specsweep import fixture_path, linesim, load_fixture
-from specsweep.cli import main
+from specsweep.cli import COMMANDS, build_parser, main
 from specsweep.errors import ScenarioFormatError
 from specsweep.formats import BUILTIN_CATALOG
 from specsweep.linesim import GsnrProfile, MediaChannel, NeighborChannel, Scenario
@@ -588,21 +588,30 @@ def test_validate_rejects_what_runs_reject(fixture, mutate, path, tmp_path, caps
 
 def test_load_scenario_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
+    route_a = fixture_path("route_a.json").read_text()
     # A repeated key would otherwise keep only its last value: here route_a
     # would lose its filter and validate as an unfiltered slot.
-    doc = json.loads(fixture_path("route_a.json").read_text())
+    doc = json.loads(route_a)
     filters = json.dumps(doc["scenario"].pop("filters"))
     repeated = json.dumps(doc).replace(
         '"scenario": {', f'"scenario": {{"filters": {filters}, "filters": [], ', 1
     )
-    # Each is a validation error, not a traceback; nesting too deep for the
-    # decoder would otherwise raise RecursionError.
-    for text, message in (
-        ("{nope", "invalid JSON"),
-        ("[" * 1000 + "]" * 1000, "invalid JSON: nested too deeply"),
-        (repeated, "invalid JSON: repeated key 'filters'"),
-    ):
-        p.write_text(text)
+    cases = [
+        (b"{nope", "invalid JSON"),
+        (b"[" * 1000 + b"]" * 1000, "invalid JSON: nested too deeply"),
+        (repeated.encode(), "invalid JSON: repeated key 'filters'"),
+        (route_a.encode("utf-16"), "invalid JSON: 'utf-8' codec can't decode"),
+    ]
+    # From Python 3.10.7 on, a decoded integer has at most 4 300 digits by default.
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        doc = json.loads(route_a)
+        doc["scenario"]["seed"] = 0
+        long_seed = json.dumps(doc).replace('"seed": 0', '"seed": ' + "9" * 5000, 1)
+        cases.append((long_seed.encode(), "invalid JSON: Exceeds the limit"))
+    # Each is a validation error at the file's path, not a traceback; nesting
+    # too deep for the decoder would otherwise raise RecursionError.
+    for data, message in cases:
+        p.write_bytes(data)
         with pytest.raises(ScenarioFormatError) as err:
             load_scenario(p)
         assert err.value.path == str(p)
@@ -745,14 +754,6 @@ def test_cli_recommend(tmp_path):
     assert plan["assignments"]
 
 
-def test_cli_seed_override_changes_output(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["sweep", "--scenario", str(fixture_path("route_b.json"))]
-    assert run_cli(*base, "--out", str(a)) == 0
-    assert run_cli(*base, "--out", str(b), "--seed-override", "999") == 0
-    assert a.read_bytes() != b.read_bytes()
-
-
 def run_checkout_python(*args):
     """A fresh interpreter with this checkout's ``src`` first on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -884,29 +885,47 @@ def test_ber_underflow_at_high_gsnr_is_data(tmp_path):
     assert readings and all(math.isfinite(g) for g in readings)
 
 
+def write_xtalk_mixed(tmp_path, **sweep):
+    """xtalk_mixed.json with ``sweep`` fields replaced; the file's path."""
+    doc = json.loads(fixture_path("xtalk_mixed.json").read_text())
+    doc["sweep"] = {**doc.get("sweep", {}), **sweep}
+    p = tmp_path / "xtalk_mixed.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
 @pytest.mark.parametrize("step", ["0", "-6.25", "nan", "inf", "1e-9"])
-def test_cli_step_override_gets_file_checks(step, capsys):
-    scenario = str(fixture_path("xtalk_mixed.json"))
-    assert run_cli("sweep", "--scenario", scenario, "--step", step) == 2
-    assert "sweep step" in capsys.readouterr().err
+def test_cli_step_override_gets_file_checks(step, tmp_path, capsys):
+    """A step is set in the file alone, and checked there at its field path."""
+    scenario = write_xtalk_mixed(tmp_path, step=float(step))
+    assert run_cli("sweep", "--scenario", scenario) == 2
+    assert capsys.readouterr().err.startswith("error: $.sweep")
 
 
-def test_crosstalk_takes_no_step():
-    """The scan reads the file's crosstalk_offsets; a step would change no reading."""
-    with pytest.raises(SystemExit) as exc:
-        run_cli("crosstalk", "--scenario", str(fixture_path("xtalk_mixed.json")), "--step", "3.125")
-    assert exc.value.code == 2
+def test_cli_surface_is_pinned():
+    """Every value of a run is in its scenario file: no command overrides the
+    step, trials or seed, and a report command sets only where and how it writes."""
+    parser = build_parser()
+    report = {"scenario": "f.json", "out": "r.csv", "format": "csv"}
+    for command in COMMANDS:
+        for flag in ("--step", "--trials", "--seed-override"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--scenario", "f.json", flag, "1"])
+            assert exc.value.code == 2
+        settable = {"scenario": "f.json"} if command == "validate" else report
+        argv = [command, *(arg for k, v in settable.items() for arg in (f"--{k}", v))]
+        assert vars(parser.parse_args(argv)) == {"command": command, **settable}
 
 
-def test_trials_per_point_bounded_before_any_read(capsys, monkeypatch):
+def test_trials_per_point_bounded_before_any_read(tmp_path, capsys, monkeypatch):
     def no_reads(*args, **kwargs):
         raise AssertionError("measure() called before the trials bound was checked")
 
     monkeypatch.setattr(linesim, "measure", no_reads)
-    scenario = str(fixture_path("xtalk_mixed.json"))
-    for trials in (str(MAX_TRIALS_PER_POINT + 1), "0"):
+    for trials in (MAX_TRIALS_PER_POINT + 1, 0):
+        scenario = write_xtalk_mixed(tmp_path, trials_per_point=trials)
         for command in ("crosstalk", "sweep"):
-            assert run_cli(command, "--scenario", scenario, "--trials", trials) == 2
+            assert run_cli(command, "--scenario", scenario) == 2
             assert "trials_per_point" in capsys.readouterr().err
 
     doc = minimal_doc()
