@@ -177,12 +177,11 @@ def estimate_effective_bandwidth(sweep):
         lo -= 1
     while hi < len(c) - 1 and ok[hi + 1]:
         hi += 1
-    narrow_width = widths[order[0]]
-    upper = narrow_width + (c[hi] - c[lo]) + sweep.plan.step
+    upper = widths[order[0]] + (c[hi] - c[lo]) + sweep.plan.step
     degenerate = bool(np.count_nonzero(mask) == 1)
 
     working = [w for w, curve in zip(widths, sweep.curves) if curve.finite_fraction() > 0.0]
-    widest_working = max(working) if working else narrow_width
+    widest_working = max(working)
     lower = min(widest_working, upper)
     return EffectiveBandwidth(
         lower_bound_ghz=float(lower),

@@ -133,8 +133,9 @@ class MeasurementResult:
 
 @lru_cache(maxsize=1)
 def _cascade_on_grid(filters, grid):
-    """The cascade's power response on the whole grid, kept for one scenario's reads."""
-    return cascade_power_response(filters, grid.points())
+    """The grid's points and the cascade's power response there, kept for one scenario's reads."""
+    points = grid.points()
+    return points, cascade_power_response(filters, points)
 
 
 def local_gsnr_db(scenario, f):
@@ -169,16 +170,14 @@ def _filtered_psd(scenario, spectrum):
     The PSD is zero outside the occupied band, so only the grid points that
     cover it are integrated.
     """
+    points, cascade = _cascade_on_grid(scenario.filters, scenario.grid)
     window = _occupied_slice(scenario.grid, spectrum)
-    f = scenario.grid.points()[window]
+    f = points[window]
     s = signal_psd(f - spectrum.center, spectrum)
     s_total = np.trapezoid(s, f)
     if s_total <= 0.0:
         raise ValueError(f"signal at {spectrum.center} GHz lies outside the scenario grid")
-    if scenario.filters:
-        weight = s * _cascade_on_grid(scenario.filters, scenario.grid)[window]
-    else:
-        weight = s
+    weight = s * cascade[window]
     norm = np.trapezoid(weight, f)
     return f, weight, norm, float(norm / s_total)
 
@@ -218,24 +217,19 @@ def _noiseless_q_db(scenario, carrier, probe):
     """
     spectrum = probe.spectrum_at(carrier)
     f, weight, norm, rho = _filtered_psd(scenario, spectrum)
-    if rho <= 0.0:
-        return None
 
-    # Past the float range the profile reads +-inf dB: -inf is an exact zero,
-    # and an inf or NaN (0 * inf) average is decided below, so neither warns.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Past the float range the profile reads +-inf dB: -inf is an exact zero, and
+    # an inf or NaN average (0 * inf, or 0 / 0 when rho = 0) is an outage below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         profile_lin = 10.0 ** (local_gsnr_db(scenario, f) / 10.0)
         g_profile = float(np.trapezoid(weight * profile_lin, f) / norm)
     try:
         g_filtered = g_profile * rho ** scenario.filtering_exponent
-    except OverflowError:
-        return None  # a ripple gain (rho > 1) to a huge exponent: no finite GSNR
-    if not g_filtered > 0.0:
-        return None  # nothing left after filtering, or the profile underflowed
-    inv_g_eff = 1.0 / g_filtered + crosstalk_lin(scenario, spectrum)
-    if not 0.0 < inv_g_eff < math.inf:
-        return None  # g_eff is not a finite positive GSNR
-    g_eff = 1.0 / inv_g_eff
+        g_eff = 1.0 / (1.0 / g_filtered + crosstalk_lin(scenario, spectrum))
+    except (OverflowError, ZeroDivisionError):
+        return None  # rho > 1 to a huge exponent, or a zero GSNR or inverse
+    if not 0.0 < g_eff < math.inf:
+        return None  # no finite positive GSNR: nothing passed, or NaN on the way
 
     snr_db = denormalize_gsnr(10.0 * np.log10(g_eff), probe.symbol_rate)
     ber = ber_from_snr(probe.format, snr_db)
@@ -302,8 +296,8 @@ class CrosstalkBench:
     ``probes`` (one per slot), ``victim_carrier`` and ``check_offset``.
 
     Every slot's carrier is built once, at its aligned center; a session
-    rebuilds only the middle one, and only at a non-zero offset. The
-    neighbors are the same values, in the same order, as built afresh.
+    rebuilds only the middle one, at its offset. The neighbors are the same
+    values, in the same order, as built afresh.
     """
 
     def __init__(self, scenario, slot_probes):
@@ -339,11 +333,10 @@ class CrosstalkBench:
         """Black-box session for one victim slot, middle carrier offset applied."""
         self.check_offset(central_offset)
         carriers = list(self._carriers)
-        if central_offset:
-            middle = self._middle_index
-            carriers[middle] = replace(
-                carriers[middle], center=self.victim_carrier(middle, central_offset)
-            )
+        middle = self._middle_index
+        carriers[middle] = replace(
+            carriers[middle], center=self.victim_carrier(middle, central_offset)
+        )
         del carriers[victim_index]
         victim_scenario = replace(self._scenario, neighbors=(*self._scenario.neighbors, *carriers))
         return open_session(victim_scenario)

@@ -36,6 +36,9 @@ SCHEMA_VERSION = 1
 # Upper bound on central-carrier offsets per crosstalk scan, checked before
 # the offsets are generated.
 MAX_CROSSTALK_OFFSETS = 10_000
+# Upper bound on a scenario file's size in bytes, checked while it is read:
+# an endless stream such as /dev/zero is never read whole.
+MAX_SCENARIO_BYTES = 1 << 20
 # Scenario fields that lay out the line; the report config lists the others.
 _LAYOUT_FIELDS = ("media_channels", "filters", "gsnr_profile", "neighbors")
 
@@ -287,9 +290,12 @@ def _unique_keys(pairs):
 
 def load_scenario(path):
     """Load and strictly validate a UTF-8 scenario file from disk."""
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_SCENARIO_BYTES + 1)
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ScenarioFormatError(str(path), f"larger than {MAX_SCENARIO_BYTES} bytes")
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+        data = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # bad syntax or encoding, a repeated key, an overlong integer
         raise ScenarioFormatError(str(path), f"invalid JSON: {exc}") from exc
     except RecursionError:
@@ -344,17 +350,23 @@ def report_config(sf):
 def write_text_atomic(path, text):
     """Write via a temp file in the same directory, then rename.
 
-    The file gets the mode a plain ``open(path, "w")`` would leave: an
-    existing file keeps its mode, a new one gets 0o666 less the umask.
+    A symlink is followed to its file, and a FIFO or a device is written in
+    place, where a rename would replace it. The file gets the mode a plain
+    ``open(path, "w")`` would leave: an existing file keeps its mode, a new
+    one gets 0o666 less the umask.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0o022)  # read by setting; the CLI is single-threaded
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".specsweep-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".specsweep-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -60,12 +60,7 @@ class FrequencyGrid:
         return int(np.floor((self.stop - self.start) / self.resolution)) + 1
 
     def points(self):
-        return _grid_points(self.start, self.resolution, self.npoints)
-
-
-@lru_cache(maxsize=64)
-def _grid_points(start, resolution, npoints):
-    return start + resolution * np.arange(npoints)
+        return self.start + self.resolution * np.arange(self.npoints)
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,8 @@ def signal_psd(offset, spectrum):
     outer = (1.0 + r) * sr / 2.0
     out = np.zeros_like(f)
     out[f <= inner] = 1.0 / sr
-    if r > 0:
-        edge = (f > inner) & (f < outer)
-        out[edge] = np.cos(np.pi * (f[edge] - inner) / (2.0 * r * sr)) ** 2 / sr
+    edge = (f > inner) & (f < outer)  # empty at roll_off 0, so nothing divides by it
+    out[edge] = np.cos(np.pi * (f[edge] - inner) / (2.0 * r * sr)) ** 2 / sr
     return out
 
 

@@ -11,6 +11,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from specsweep.formats import BUILTIN_CATALOG
 from specsweep.linesim import GsnrProfile, MediaChannel, NeighborChannel, Scenario
 from specsweep.probe import MAX_TRIALS_PER_POINT
 from specsweep.scenario_io import (
+    MAX_SCENARIO_BYTES,
     CrosstalkOffsets,
     ScenarioFile,
     load_scenario,
@@ -339,6 +341,37 @@ def test_readme_bounds_table_names_every_max_constant():
     assert defined and documented == defined
 
 
+# Every module-level cache of the package, with its maxsize, and the bench
+# workload whose reads hit it; a new cache names the workload that needs it.
+CACHES = {
+    # The trials of one sweep point are read in a row: sweep_trials.
+    ("linesim", "_noiseless_q_db"): 32,
+    # One scenario's grid and filter cascade: sweep_trials, diagnose_catalog.
+    ("linesim", "_cascade_on_grid"): 1,
+    # A victim's PSD across its band: xtalk_scan, diagnose_catalog.
+    ("spectral", "_victim_support"): 64,
+    # Field converters per schema dataclass, a fixed set: every file parse.
+    ("scenario_io", "_fields"): None,
+}
+
+
+def test_cache_inventory_is_pinned():
+    """The package's module-level caches are exactly those of CACHES."""
+    package = Path(specsweep.__file__).parent
+    found = {}
+    for module in package.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            for deco in getattr(node, "decorator_list", ()):
+                call = deco if isinstance(deco, ast.Call) else ast.Call(deco, [], [])
+                name = ast.unparse(call.func).split(".")[-1]
+                sizes = [*call.args, *(k.value for k in call.keywords if k.arg == "maxsize")]
+                if name == "cache":
+                    found[(module.stem, node.name)] = None
+                elif name == "lru_cache":  # maxsize as argument or keyword, 128 if left out
+                    found[(module.stem, node.name)] = ast.literal_eval(sizes[0]) if sizes else 128
+    assert found == CACHES
+
+
 def test_readme_names_resolve():
     """Each backticked dotted name in README whose head is a package module
     (``specsweep.`` optional) or a CapWords class resolves: the head is that
@@ -601,6 +634,7 @@ def test_load_scenario_bad_json(tmp_path, capsys):
         (b"[" * 1000 + b"]" * 1000, "invalid JSON: nested too deeply"),
         (repeated.encode(), "invalid JSON: repeated key 'filters'"),
         (route_a.encode("utf-16"), "invalid JSON: 'utf-8' codec can't decode"),
+        ((route_a + " " * MAX_SCENARIO_BYTES).encode(), f"larger than {MAX_SCENARIO_BYTES} bytes"),
     ]
     # From Python 3.10.7 on, a decoded integer has at most 4 300 digits by default.
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
@@ -694,6 +728,40 @@ def test_cli_out_file_mode_is_that_of_a_plain_write(tmp_path):
         assert out.stat().st_mode & 0o777 == 0o640
     finally:
         os.umask(umask)
+
+
+def test_cli_out_follows_a_symlink(tmp_path, capsys):
+    """--out onto a symlink writes the file it points at and leaves the link."""
+    argv = ("sweep", "--scenario", str(fixture_path("route_a.json")), "--format", "csv")
+    assert run_cli(*argv) == 0
+    report = capsys.readouterr().out
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert run_cli(*argv, "--out", str(link)) == 0
+    assert link.is_symlink()
+    assert target.read_text() == report
+
+
+def test_cli_out_writes_into_a_fifo(tmp_path, capsys):
+    """--out onto a FIFO writes through it instead of replacing it with a file."""
+    argv = ("sweep", "--scenario", str(fixture_path("route_a.json")), "--format", "csv")
+    assert run_cli(*argv) == 0
+    report = capsys.readouterr().out.encode()
+    assert len(report) < 4096  # fits the pipe's buffer, so the write cannot block
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # A reader opened first lets the CLI open the FIFO for writing without blocking.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(*argv, "--out", str(fifo)) == 0
+        received = b""
+        while chunk := os.read(reader, 65536):
+            received += chunk
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == report
 
 
 def test_cli_deterministic_bytes(tmp_path):

@@ -172,6 +172,7 @@ def test_measure_outage_when_no_finite_gsnr_remains():
         flat_scenario(17.0, filters=(FilterElement(0.0, 40.0),), filtering_exponent=1e308),
         flat_scenario(-1e308),  # the profile underflows to 0
         flat_scenario(17.0, gsnr_profile=GsnrProfile(17.0, tilt_db=1e308)),
+        flat_scenario(17.0, filters=(FilterElement(5000.0, 1.0, order=100),)),  # rho = 0
     ):
         for carrier in (-20.0, 0.0, 20.0):
             res = measure(sc, carrier, QPSK69)
