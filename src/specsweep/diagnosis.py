@@ -106,15 +106,11 @@ class DiagnosisReport:
     pre_emphasis: Tuple[EmphasisPoint, ...]
 
 
-def _widths(sweep):
-    """Occupied width of each curve's probe, in curve order."""
-    return [c.probe.occupied_width for c in sweep.curves]
-
-
-def _finite(curve):
-    """The curve's GSNR readings as an array, NaN at outage, and where they are finite."""
-    g = np.array(curve.gsnr_db, dtype=float)
-    return g, np.isfinite(g)
+def _readings(sweep):
+    """The sweep as probes x carriers: GSNR readings (NaN at outage), where
+    they are finite, and each probe's occupied width, in curve order."""
+    g = np.array([curve.gsnr_db for curve in sweep.curves], dtype=float)
+    return g, np.isfinite(g), np.array([curve.probe.occupied_width for curve in sweep.curves])
 
 
 def estimate_center_offset(sweep):
@@ -124,14 +120,12 @@ def estimate_center_offset(sweep):
     averaged with curvature-squared weights (sharper peaks count more). A
     flat channel yields 0 with the low-confidence flag set.
     """
+    readings, finite, _ = _readings(sweep)
+    if not finite.any():
+        raise UndiagnosableError("all probes in outage; cannot estimate offset")
     c = sweep.plan.carriers()
     fits = []
-    any_finite = False
-    for curve in sweep.curves:
-        g, mask = _finite(curve)
-        if np.count_nonzero(mask) == 0:
-            continue
-        any_finite = True
+    for g, mask in zip(readings, finite):
         if np.count_nonzero(mask) < 3:
             continue
         idx = int(np.nanargmax(np.where(mask, g, -np.inf)))
@@ -145,8 +139,6 @@ def estimate_center_offset(sweep):
             continue
         vertex = c[idx] + 0.5 * sweep.plan.step * (y0 - y2) / curvature
         fits.append((vertex - sweep.plan.slot.center, curvature * curvature))
-    if not any_finite:
-        raise UndiagnosableError("all probes in outage; cannot estimate offset")
     if not fits:
         return OffsetEstimate(0.0, low_confidence=True)
     offsets = np.array([f[0] for f in fits])
@@ -157,16 +149,16 @@ def estimate_center_offset(sweep):
 def estimate_effective_bandwidth(sweep):
     """Bracket the usable optical bandwidth from the sweep curves.
 
-    Upper bound: occupied width of the narrowest probe plus the extent of
-    the contiguous carrier range (around its peak) within threshold of the
-    peak, plus one step of quantization slack. Lower bound: occupied width
-    of the widest probe that returned any finite reading, clamped to the
-    upper bound when the two cross.
+    Upper bound: occupied width of the narrowest probe (the first listed of
+    equal widths) plus the extent of the contiguous carrier range (around
+    its peak) within threshold of the peak, plus one step of quantization
+    slack. Lower bound: occupied width of the widest probe that returned
+    any finite reading, clamped to the upper bound when the two cross.
     """
-    widths = _widths(sweep)
-    order = np.argsort(widths)
+    readings, finite, widths = _readings(sweep)
+    narrowest = int(np.argmin(widths))
+    g, mask = readings[narrowest], finite[narrowest]
     c = sweep.plan.carriers()
-    g, mask = _finite(sweep.curves[order[0]])
     if np.count_nonzero(mask) == 0:
         raise UndiagnosableError("narrowest probe has no finite readings")
     peak_idx = int(np.nanargmax(np.where(mask, g, -np.inf)))
@@ -177,11 +169,10 @@ def estimate_effective_bandwidth(sweep):
         lo -= 1
     while hi < len(c) - 1 and ok[hi + 1]:
         hi += 1
-    upper = widths[order[0]] + (c[hi] - c[lo]) + sweep.plan.step
+    upper = widths[narrowest] + (c[hi] - c[lo]) + sweep.plan.step
     degenerate = bool(np.count_nonzero(mask) == 1)
 
-    working = [w for w, curve in zip(widths, sweep.curves) if curve.finite_fraction() > 0.0]
-    widest_working = max(working)
+    widest_working = widths[finite.any(axis=1)].max()
     lower = min(widest_working, upper)
     return EffectiveBandwidth(
         lower_bound_ghz=float(lower),
@@ -193,21 +184,18 @@ def estimate_effective_bandwidth(sweep):
     )
 
 
-def _reference_curve(sweep):
-    """Widest probe with >= 80% finite samples, else the narrowest probe."""
-    widths = _widths(sweep)
-    candidates = [
-        (w, i) for i, (w, curve) in enumerate(zip(widths, sweep.curves))
-        if curve.finite_fraction() >= 0.8
-    ]
-    if candidates:
-        return sweep.curves[max(candidates)[1]]
-    return sweep.curves[int(np.argmin(widths))]
+def _reference(sweep):
+    """Row and mask of the widest probe with >= 80% finite samples (the last
+    listed of equal widths), else of the narrowest probe (the first listed)."""
+    readings, finite, widths = _readings(sweep)
+    candidates = [(w, i) for i, w in enumerate(widths) if finite[i].mean() >= 0.8]
+    i = max(candidates)[1] if candidates else int(np.argmin(widths))
+    return readings[i], finite[i]
 
 
 def estimate_tilt_ripple(sweep):
     """Least-squares tilt across the slot and peak-to-peak ripple residual."""
-    g, mask = _finite(_reference_curve(sweep))
+    g, mask = _reference(sweep)
     if np.count_nonzero(mask) < 4:
         raise UndiagnosableError("fewer than 4 finite points for tilt regression")
     x, y = sweep.plan.carriers()[mask], g[mask]
@@ -217,9 +205,9 @@ def estimate_tilt_ripple(sweep):
     return TiltRippleEstimate(float(tilt), float(residuals.max() - residuals.min()))
 
 
-def _band_min_gsnr(curve, c, lo, hi):
-    """Minimum interpolated GSNR of ``curve``, read at ``c``, over [lo, hi]; -inf if unusable."""
-    g, mask = _finite(curve)
+def _band_min_gsnr(g, mask, c, lo, hi):
+    """Minimum interpolated GSNR of the row ``g`` (finite where ``mask``),
+    read at ``c``, over [lo, hi]; -inf if unusable."""
     if np.count_nonzero(mask) < 2:
         return -np.inf
     # Any outage sample inside the band disqualifies it outright.
@@ -233,22 +221,22 @@ def _band_min_gsnr(curve, c, lo, hi):
     return float(np.min(np.interp(probe_pts, cf, gf)))
 
 
-def _nearest_rate_curve(sweep, symbol_rate):
-    rates = [curve.probe.symbol_rate for curve in sweep.curves]
-    return sweep.curves[int(np.argmin(np.abs(np.array(rates) - symbol_rate)))]
-
-
 def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     """Greedy left-to-right carrier packing over the sweep grid.
 
     At each candidate center the highest-net-rate entry whose predicted
     minimum GSNR over its occupied band clears required_gsnr wins; ties go
     to the lower symbol rate. The cursor then advances by the occupied
-    width plus the guard. Deterministic regardless of catalog order.
+    width plus the guard. Deterministic regardless of catalog order. An
+    entry's GSNR is read from the probe nearest its symbol rate, the first
+    listed of equally near ones.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
     entries = sorted(catalog, key=lambda e: (-e.net_data_rate_gbps, e.symbol_rate))
+    readings, finite, _ = _readings(sweep)
+    rates = np.array([curve.probe.symbol_rate for curve in sweep.curves])
+    nearest = np.argmin(np.abs(rates - np.array([[e.symbol_rate] for e in entries])), axis=1)
     slot = sweep.plan.slot
     carriers = sweep.plan.carriers()
     assignments: List[CarrierAssignment] = []
@@ -256,14 +244,12 @@ def recommend_carriers(sweep, catalog, guard_ghz=0.0):
     cursor = slot.start
     for center in carriers:
         placed = None
-        for entry in entries:
+        for entry, row in zip(entries, nearest):
             width = entry.occupied_width
             lo, hi = center - width / 2.0, center + width / 2.0
             if lo < cursor - 1e-9 or lo < slot.start - 1e-9 or hi > slot.stop + 1e-9:
                 continue
-            min_gsnr = _band_min_gsnr(
-                _nearest_rate_curve(sweep, entry.symbol_rate), carriers, lo, hi
-            )
+            min_gsnr = _band_min_gsnr(readings[row], finite[row], carriers, lo, hi)
             margin = min_gsnr - required_gsnr(entry)
             if margin >= 0.0:
                 placed = CarrierAssignment(float(center), entry.name, float(margin), width)
@@ -331,9 +317,8 @@ def guard_band(entry_a, entry_b, link_gsnr_db, max_penalty_db=DEFAULT_GUARD_PENA
     return GuardBandResult(float(spacing), float(max(0.0, spacing - half_sum)))
 
 
-def _penalties(curve, c):
-    """The drop below the curve's peak GSNR at each of its carriers ``c``."""
-    g, mask = _finite(curve)
+def _penalties(g, mask, c):
+    """The drop below the row ``g``'s peak GSNR (finite where ``mask``) at each carrier of ``c``."""
     peak = np.max(g[mask], initial=-np.inf)
     return tuple(
         PenaltyPoint(float(x), float(peak - y) if ok else None) for x, y, ok in zip(c, g, mask)
@@ -344,7 +329,7 @@ def pre_emphasis(sweep):
     """Advisory per-carrier launch-power offsets that would flatten the slot."""
     return tuple(
         EmphasisPoint(p.carrier, min(p.penalty_db, PRE_EMPHASIS_CLIP_DB))
-        for p in _penalties(_reference_curve(sweep), sweep.plan.carriers())
+        for p in _penalties(*_reference(sweep), sweep.plan.carriers())
         if p.penalty_db is not None
     )
 
@@ -352,7 +337,8 @@ def pre_emphasis(sweep):
 def diagnose(sweep, catalog=None, guard_ghz=0.0):
     """Full diagnosis of one sweep; sub-estimates degrade to None when the
     data cannot support them instead of failing the whole report."""
-    if all(curve.finite_fraction() == 0.0 for curve in sweep.curves):
+    readings, finite, _ = _readings(sweep)
+    if not finite.any():
         raise UndiagnosableError("every probe is in outage at every carrier")
 
     def _try(estimator):
@@ -369,7 +355,7 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
     guards = {}
     if catalog:
         plan = recommend_carriers(sweep, catalog, guard_ghz)
-        link = statistics.median(g for c in sweep.curves for g in c.gsnr_db if g is not None)
+        link = statistics.median(readings[finite].tolist())
         for i, ea in enumerate(catalog):
             for eb in catalog[i:]:
                 key = f"{ea.name}|{eb.name}"
@@ -382,7 +368,8 @@ def diagnose(sweep, catalog=None, guard_ghz=0.0):
         tilt_db=tilt_ripple.tilt_db if tilt_ripple else None,
         ripple_pp_db=tilt_ripple.ripple_pp_db if tilt_ripple else None,
         per_probe_penalty_curves={
-            curve.probe.probe_id: _penalties(curve, carriers) for curve in sweep.curves
+            curve.probe.probe_id: _penalties(g, mask, carriers)
+            for curve, g, mask in zip(sweep.curves, readings, finite)
         },
         carrier_plan=plan,
         guard_band_recommendations=guards,

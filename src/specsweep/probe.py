@@ -65,9 +65,6 @@ class ProbeCurve:
     gsnr_db: Tuple[Optional[float], ...]
     q_db: Tuple[Optional[float], ...]
 
-    def finite_fraction(self):
-        return sum(g is not None for g in self.gsnr_db) / len(self.gsnr_db)
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -250,12 +250,20 @@ def parse_scenario_file(data):
     sf = ScenarioFile(version, scenario, probes, plan.step, plan.trials_per_point, **optional)
 
     grid = scenario.grid
-    for i, mc in enumerate(scenario.media_channels):
+    channels = scenario.media_channels
+    for i, mc in enumerate(channels):
         if not (grid.start <= mc.start and mc.stop <= grid.stop):
             raise ScenarioFormatError(
                 f"{path}.scenario.media_channels[{i}]",
                 f"slot [{mc.start}, {mc.stop}] GHz lies outside the scenario grid "
                 f"[{grid.start}, {grid.stop}] GHz",
+            )
+        # Touching slots laid out from their centers may overlap by an ulp.
+        if i and mc.start < channels[i - 1].stop - 1e-9:
+            raise ScenarioFormatError(
+                f"{path}.scenario.media_channels[{i}]",
+                f"slot [{mc.start}, {mc.stop}] GHz starts before the previous slot stops "
+                f"at {channels[i - 1].stop} GHz: slots go in frequency order, without overlap",
             )
     # Every read integrates its probe's spectrum on the grid, which must put
     # points inside the occupied band of the narrowest probe.

@@ -1,11 +1,14 @@
 """Diagnosis-layer tests: estimators, recommender, guard bands."""
 
+import ast
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specsweep
 from specsweep import diagnosis
 from specsweep.diagnosis import (
     GUARD_BAND_TOL_GHZ,
@@ -19,14 +22,14 @@ from specsweep.diagnosis import (
     recommend_carriers,
 )
 from specsweep.errors import UndiagnosableError
-from specsweep.formats import BUILTIN_CATALOG, bisect, catalog_entry
+from specsweep.formats import BUILTIN_CATALOG, bisect, catalog_entry, required_gsnr
 from specsweep.linesim import (
     GsnrProfile,
     MediaChannel,
     Scenario,
     open_session,
 )
-from specsweep.probe import SweepPlan, run_sweep
+from specsweep.probe import ProbeCurve, SweepPlan, SweepResult, run_sweep
 from specsweep.spectral import FilterElement, Ripple, SignalSpectrum, overlap_coefficient
 
 QPSK69 = catalog_entry("200G-69GBd-DP-QPSK")
@@ -348,3 +351,49 @@ def test_diagnose_all_outage_raises():
     sweep = make_sweep(base=2.0, probes=(QAM34,))
     with pytest.raises(UndiagnosableError):
         diagnose(sweep)
+
+
+def test_equal_width_probe_ties():
+    """Two 69 GBd probes of one occupied width, one falling and one rising
+    across the slot: the bandwidth bracket and the recommender read the first
+    listed, tilt and pre-emphasis the last listed."""
+    hyb69 = catalog_entry("300G-69GBd-DP-P-16QAM")
+    assert QPSK69.occupied_width == hyb69.occupied_width == 82.11
+    plan = SweepPlan(MediaChannel(0.0, 100.0), (QPSK69, hyb69), step=12.5)
+    falling = (20.0, 19.9, 19.8, 19.7, 19.6, 19.5, 19.4, 19.3, 19.2)
+    rising = (17.0, 17.2, 17.4, 17.6, 17.8, 18.0, 18.2, 18.4, 18.6)
+    q = (None,) * 9
+    sweep = SweepResult(plan, (ProbeCurve(QPSK69, falling, q), ProbeCurve(hyb69, rising, q)))
+
+    assert estimate_effective_bandwidth(sweep).upper_bound_ghz == pytest.approx(157.11)
+    assert estimate_tilt_ripple(sweep).tilt_db == pytest.approx(1.6)
+    offsets = [p.offset_db for p in pre_emphasis(sweep)]
+    assert offsets == pytest.approx([18.6 - g for g in rising])
+
+    first = recommend_carriers(sweep, [QPSK69]).assignments[0]
+    c = plan.carriers()
+    half = QPSK69.occupied_width / 2.0
+    band = [first.center_ghz - half, first.center_ghz + half]
+    band += [x for x in c if band[0] < x < band[1]]
+    expected = min(np.interp(band, c, falling)) - required_gsnr(QPSK69)
+    assert first.predicted_margin_db == pytest.approx(expected)
+
+
+def test_readings_are_one_view():
+    """In diagnosis only _readings reads a curve's gsnr_db; every estimator
+    takes rows of its probes x carriers view, and no package module defines
+    a per-curve finite_fraction beside it."""
+    package = Path(specsweep.__file__).parent
+    readers = {
+        getattr(node, "name", None)
+        for node in ast.parse((package / "diagnosis.py").read_text()).body
+        if any(isinstance(n, ast.Attribute) and n.attr == "gsnr_db" for n in ast.walk(node))
+    }
+    assert readers == {"_readings"}
+    finite_fractions = [
+        module.stem
+        for module in package.glob("*.py")
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "finite_fraction"
+    ]
+    assert finite_fractions == []
