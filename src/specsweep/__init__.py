@@ -21,7 +21,6 @@ from specsweep.linesim import (
     BlackBoxProbe,
     CrosstalkBench,
     MeasurementResult,
-    MediaChannel,
     Scenario,
     measure,
     open_session,
@@ -29,7 +28,7 @@ from specsweep.linesim import (
 from specsweep.probe import SweepPlan, SweepResult, crosstalk_scan, probe_point, run_sweep
 from specsweep.diagnosis import DiagnosisReport, diagnose, guard_band, recommend_carriers
 from specsweep.scenario_io import load_scenario, parse_scenario_file, scenario_hash
-from specsweep.spectral import FilterElement, FrequencyGrid, SignalSpectrum
+from specsweep.spectral import FilterElement, FrequencyGrid, MediaChannel, SignalSpectrum
 
 __version__ = "1.0.0"
 

@@ -19,43 +19,17 @@ from specsweep.formats import OUTAGE_BER, ber_from_snr, denormalize_gsnr, q_db_f
 from specsweep.spectral import (
     FilterElement,
     FrequencyGrid,
+    MediaChannel,
     Ripple,
     SignalSpectrum,
     cascade_power_response,
-    check_center,
     overlap_coefficient,
     signal_psd,
 )
 
-# Bounds on neighbor power offsets and read noise, checked when a scenario
-# is built: beyond them the model's arithmetic overflows.
-MAX_POWER_OFFSET_DB = 100.0
+# Bound on read noise, checked when a scenario is built: beyond it the
+# model's arithmetic overflows.
 MAX_NOISE_SIGMA_DB = 10.0
-
-
-@dataclass(frozen=True)
-class MediaChannel:
-    """One leased frequency slot (absolute GHz)."""
-
-    center: float
-    width: float
-
-    def __post_init__(self):
-        check_center(self.center)
-        if self.width <= 0:
-            raise ValueError("media channel width must be > 0")
-        if self.start == self.stop:  # the tilt divides by the span
-            raise ValueError(
-                f"media channel width {self.width} GHz vanishes at center {self.center} GHz"
-            )
-
-    @property
-    def start(self):
-        return self.center - self.width / 2.0
-
-    @property
-    def stop(self):
-        return self.center + self.width / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,18 +47,12 @@ class GsnrProfile:
 
 @dataclass(frozen=True)
 class NeighborChannel(SignalSpectrum):
-    """An interfering carrier outside the probed slot: a spectrum at a power offset."""
+    """An interfering carrier outside the probed slot: a spectrum whose center is required.
+
+    Like every carrier, it follows the constant-PSD rule (see ``crosstalk_lin``).
+    """
 
     center: float = field(kw_only=True)
-    power_offset_db: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not abs(self.power_offset_db) <= MAX_POWER_OFFSET_DB:
-            raise ValueError(
-                f"power_offset_db must be within +/-{MAX_POWER_OFFSET_DB:g}, "
-                f"got {self.power_offset_db}"
-            )
 
 
 @dataclass(frozen=True)
@@ -186,12 +154,12 @@ def crosstalk_lin(scenario, victim):
     """Aggregate linear crosstalk term from all neighbors.
 
     Each neighbor's power follows the constant-PSD rule relative to the
-    victim (ratio SR_n / SR_v) plus its power_offset_db, so the result does
-    not depend on the absolute victim power.
+    victim (ratio SR_n / SR_v), the rule the customer side's guard bands
+    assume, so the result does not depend on the absolute victim power.
     """
     total = 0.0
     for nb in scenario.neighbors:
-        ratio = (nb.symbol_rate / victim.symbol_rate) * 10.0 ** (nb.power_offset_db / 10.0)
+        ratio = nb.symbol_rate / victim.symbol_rate
         chi = overlap_coefficient(victim, nb, abs(nb.center - victim.center))
         total += ratio * chi
     return scenario.crosstalk_coupling * total
@@ -206,7 +174,7 @@ def _q_noise_db(scenario, carrier, probe, trial_index):
     return float(rng.normal(0.0, scenario.measurement_noise_sigma_db))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _noiseless_q_db(scenario, carrier, probe):
     """Q (dB) before read noise, or None on outage.
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from specsweep.formats import CatalogEntry, ber_from_q_db, normalize_gsnr, snr_from_ber
-from specsweep.linesim import MediaChannel
+from specsweep.spectral import MediaChannel
 
 DEFAULT_STEP_GHZ = 6.25
 # Upper bounds on carriers per sweep and reads per point, checked before

@@ -1,4 +1,4 @@
-"""Frequency-domain primitives: signal power spectra, filter responses, overlaps.
+"""Frequency-domain primitives: slots, signal power spectra, filter responses, overlaps.
 
 All frequencies are in GHz, symbol rates in GBd. Power spectral densities are
 normalized to unit total power (1/GHz units) so that overlap and filtering
@@ -61,6 +61,31 @@ class FrequencyGrid:
 
     def points(self):
         return self.start + self.resolution * np.arange(self.npoints)
+
+
+@dataclass(frozen=True)
+class MediaChannel:
+    """One leased frequency slot (absolute GHz)."""
+
+    center: float
+    width: float
+
+    def __post_init__(self):
+        check_center(self.center)
+        if self.width <= 0:
+            raise ValueError("media channel width must be > 0")
+        if self.start == self.stop:  # the tilt divides by the span
+            raise ValueError(
+                f"media channel width {self.width} GHz vanishes at center {self.center} GHz"
+            )
+
+    @property
+    def start(self):
+        return self.center - self.width / 2.0
+
+    @property
+    def stop(self):
+        return self.center + self.width / 2.0
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,7 @@ def _bases():
         for name in ("route_a.json", "route_b.json", "route_c.json", "xtalk_5slot.json")
     }
     # No fixture has a neighbor channel; give route_a one so its fields are fuzzed too.
-    docs["route_a.json"]["scenario"]["neighbors"] = [
-        {"symbol_rate": 34.0, "center": 90.0, "power_offset_db": -3.0}
-    ]
+    docs["route_a.json"]["scenario"]["neighbors"] = [{"symbol_rate": 34.0, "center": 90.0}]
     # route_c is the only fixture with a recommend section; a coarser sweep
     # keeps its five commands cheap enough for the time budget.
     docs["route_c.json"]["sweep"]["step"] = 50.0

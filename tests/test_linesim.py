@@ -117,7 +117,7 @@ def test_crosstalk_lin_ignores_grid_resolution():
     leaves the crosstalk term unchanged to the last bit."""
     victim = SignalSpectrum(34.0, 0.19, center=10.0)
     neighbors = (
-        NeighborChannel(69.0, 0.19, center=60.0, power_offset_db=2.0),
+        NeighborChannel(69.0, 0.19, center=60.0),
         NeighborChannel(46.0, 0.5, center=-25.0),
         NeighborChannel(1.0, 0.0, center=20.0),
     )

@@ -250,18 +250,20 @@ def test_crosstalk_scan_reads_each_channel_once_per_distinct_offset(offsets):
 
 
 def test_crosstalk_victims_see_the_scenario_neighbors():
-    """A file neighbor between slots 0 and 1 puts both in outage on the
-    aligned grid, as it does slot 0's sweep point; the other slots read as
-    without it."""
+    """A file neighbor between slots 0 and 1 lowers slot 0's reading on the
+    aligned grid, as it does slot 0's sweep point, and puts slot 1 in
+    outage; the other slots, 100 GHz or more away, read as without it."""
     sf = load_fixture("xtalk_5slot.json")
-    nb = NeighborChannel(69.0, center=-100.0, power_offset_db=10.0)
+    nb = NeighborChannel(69.0, center=-100.0)
     with_nb = replace(sf, scenario=replace(sf.scenario, neighbors=(nb,)))
-    slot0 = probe_point(open_session(with_nb.scenario), -150.0, with_nb.slot_probes[0])
-    assert slot0 == (None, None)
+    point = probe_point(open_session(sf.scenario), -150.0, sf.slot_probes[0])[0]
+    point_nb = probe_point(open_session(with_nb.scenario), -150.0, with_nb.slot_probes[0])[0]
+    assert point_nb < point
     alone = [ch.gsnr_db[0] for ch in crosstalk_scan(sf.bench, (0.0,)).channels]
     seen = [ch.gsnr_db[0] for ch in crosstalk_scan(with_nb.bench, (0.0,)).channels]
     assert None not in alone
-    assert seen == [None, None, *alone[2:]]
+    assert seen[0] < alone[0]
+    assert seen[1:] == [None, *alone[2:]]
 
 
 def test_crosstalk_scan_rejects_offsets_outside_slot():
